@@ -46,7 +46,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_dims(args) -> int:
     c = _load_connection(args.connection)
-    doc = dims_json(c)
+    doc = dims_json(c, h1_basis(c))
     doc["profile"] = profile_json(c)
     _emit(doc, args)
     return 0

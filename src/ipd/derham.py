@@ -6,15 +6,24 @@ on the singular divisor D, mapping to 1-forms with bounds raised by
 max(pole order, 1) at every point.  With coupled bounds the index of the
 lattice map is independent of the bound sizes, so stability of the kernel
 and cokernel under doubling certifies that the lattice saw the whole
-cohomology.  All dimension work is exact; no floating point enters.
+cohomology.
+
+The map is written down exactly over Q(i), one column per section
+coordinate, in closed form from the partial fractions of alpha.  Its rank is
+found mod a prime p (`linalg.SpanTracker`), which can only under-count it.
+The bounds put the flat section in the lattice, so the kernel over Q(i) is
+h0; a kernel mod p equal to h0 therefore proves that the rank mod p is the
+rank over Q(i), and every dimension reported is exact.  A prime that cannot
+reduce the data, or whose kernel is not h0, gives way to the next one in
+`linalg.PRIMES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
+from . import linalg
 from .connection import (
     Connection,
     INFINITY,
@@ -28,13 +37,14 @@ from .errors import InputError, InconsistentRank, LatticeTooSmall
 from .exact import (
     GaussianRational,
     ONE,
+    PartialFractionForm,
     RationalFunction,
     ZERO,
     as_scalar,
     p_pow_linear,
     partial_fractions,
 )
-from .linalg import SpanTracker, row_echelon
+from .linalg import BadPrime, SpanTracker, require_distinct_mod, solve
 
 DEFAULT_SECTION_MARGIN = 2
 
@@ -46,7 +56,11 @@ DEFAULT_SECTION_MARGIN = 2
 @dataclass(frozen=True)
 class FunctionLattice:
     """Rational functions with pole order <= bound at each finite point of D
-    and pole order <= inf_pole at infinity (negative = forced vanishing)."""
+    and pole order <= inf_pole at infinity (negative = forced vanishing).
+
+    A section lattice always has inf_pole >= 0; a form lattice has
+    inf_pole = -2 when infinity is not singular (1-forms regular there).
+    """
 
     finite_points: tuple[GaussianRational, ...]
     finite_bounds: tuple[int, ...]
@@ -65,35 +79,18 @@ class FunctionLattice:
     def basis_vectors(self) -> list[list[GaussianRational]]:
         coords = self.ambient()
         n = len(coords)
-        if self.inf_pole >= 0:
-            return [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-        # forced vanishing at infinity of order ell: kill w^1..w^(ell-1)
-        # in the expansion (z-a)^-k = w^k * sum C(k-1+i, i) a^i w^i
-        ell = -self.inf_pole
-        rows = []
-        for j in range(1, ell):
-            row = []
-            for kind, a, k in coords:
-                if k <= j:
-                    row.append(as_scalar(comb(j - 1, j - k)) * _power(a, j - k))
-                else:
-                    row.append(ZERO)
-            rows.append(row)
-        from .linalg import nullspace
-
-        if not rows:
-            return [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-        return nullspace(rows, cols=n)
-
-    def dimension(self) -> int:
-        return len(self.basis_vectors())
-
-
-def _power(a: GaussianRational, e: int) -> GaussianRational:
-    out = ONE
-    for _ in range(e):
-        out = out * a
-    return out
+        units = [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+        if self.inf_pole >= -1:
+            return units
+        if self.inf_pole < -2:
+            raise ValueError("forced vanishing at infinity beyond order 2")
+        # vanishing to order 2 at infinity: the residues sum to zero.  The
+        # first residue coordinate pays for the others (echelon nullspace).
+        residues = [i for i, coord in enumerate(coords) if coord[2] == 1]
+        first = residues[0]
+        for i in residues[1:]:
+            units[i][first] = -ONE
+        return units[:first] + units[first + 1:]
 
 
 def element_function(coord: tuple) -> RationalFunction:
@@ -112,26 +109,134 @@ def vector_function(vec, coords) -> RationalFunction:
     return total
 
 
-def decompose(rf: RationalFunction, coords: list[tuple]) -> list[GaussianRational]:
-    """Ambient coordinates of a rational function; InputError if it escapes."""
-    index = {c: i for i, c in enumerate(coords)}
-    out = [ZERO] * len(coords)
-    pf = partial_fractions(rf)
-    for a, k, coeff in pf.pole_terms:
-        key = ("pp", a, k)
-        if key not in index:
-            raise InputError(
-                f"pole of order {k} at {point_str(a)} exceeds the lattice bounds"
-            )
-        out[index[key]] = coeff
-    for p, coeff in enumerate(pf.poly):
+def _place(terms: dict, index: dict[tuple, int]) -> list[GaussianRational]:
+    """Coordinate vector of {coordinate label: coefficient}, with index
+    numbering the lattice coordinates; InputError if a nonzero coefficient
+    falls outside the lattice."""
+    out = [ZERO] * len(index)
+    for key, coeff in terms.items():
         if not coeff:
             continue
-        key = ("poly", p)
-        if key not in index:
-            raise InputError(f"polynomial degree {p} exceeds the lattice bounds")
-        out[index[key]] = coeff
+        i = index.get(key)
+        if i is None:
+            if key[0] == "pp":
+                raise InputError(
+                    f"pole of order {key[2]} at {point_str(key[1])} exceeds the lattice bounds"
+                )
+            raise InputError(f"polynomial degree {key[1]} exceeds the lattice bounds")
+        out[i] = coeff
     return out
+
+
+def _index(coords: list[tuple]) -> dict[tuple, int]:
+    return {c: i for i, c in enumerate(coords)}
+
+
+def _terms(pf: PartialFractionForm) -> dict:
+    """A partial fraction form as {coordinate label: coefficient}."""
+    out = {("pp", a, k): coeff for a, k, coeff in pf.pole_terms}
+    for p, coeff in enumerate(pf.poly):
+        if coeff:
+            out[("poly", p)] = coeff
+    return out
+
+
+def decompose(rf: RationalFunction, coords: list[tuple]) -> list[GaussianRational]:
+    """Ambient coordinates of a rational function; InputError if it escapes."""
+    return _place(_terms(partial_fractions(rf)), _index(coords))
+
+
+# ---------------------------------------------------------------------------
+# nabla in closed form
+
+
+def _add_term(out: dict, key: tuple, coeff: GaussianRational) -> None:
+    out[key] = out[key] + coeff if key in out else coeff
+
+
+def _times_z(terms: dict) -> dict:
+    """z * f, using z (z-b)^-r = (z-b)^-(r-1) + b (z-b)^-r."""
+    out: dict = {}
+    for key, coeff in terms.items():
+        if key[0] == "poly":
+            _add_term(out, ("poly", key[1] + 1), coeff)
+            continue
+        _, b, r = key
+        _add_term(out, ("pp", b, r - 1) if r > 1 else ("poly", 0), coeff)
+        _add_term(out, key, b * coeff)
+    return out
+
+
+def _over_linear(terms: dict, a: GaussianRational, inverse: dict) -> dict:
+    """f / (z-a), with inverse[b] = 1/(a-b) for every other pole b of f.
+
+    For b != a and d = a - b,
+        (z-b)^-r / (z-a) = d^-r (z-a)^-1 - sum_{n<r} d^-(n+1) (z-b)^-(r-n),
+    and a polynomial P splits as P(a)/(z-a) plus the synthetic quotient.
+    """
+    out: dict = {}
+    poly = [ZERO] * (1 + max((key[1] for key in terms if key[0] == "poly"), default=-1))
+    for key, coeff in terms.items():
+        if key[0] == "poly":
+            poly[key[1]] = coeff
+            continue
+        _, b, r = key
+        if b == a:
+            _add_term(out, ("pp", a, r + 1), coeff)
+            continue
+        inv, power = inverse[b], coeff
+        for n in range(r):
+            power = power * inv
+            _add_term(out, ("pp", b, r - n), -power)
+        _add_term(out, ("pp", a, 1), power)
+    carry = ZERO
+    for s in range(len(poly) - 1, 0, -1):
+        carry = poly[s] + a * carry
+        _add_term(out, ("poly", s - 1), carry)
+    if poly:
+        _add_term(out, ("pp", a, 1), poly[0] + a * carry)
+    return out
+
+
+def nabla_columns(
+    alpha: PartialFractionForm, sec_coords: list[tuple], form_coords: list[tuple]
+) -> list[list[GaussianRational]]:
+    """nabla of each section coordinate, in form coordinates.
+
+    nabla((z-a)^-k) = -k (z-a)^-(k+1) + (z-a)^-k alpha and
+    nabla(z^p) = p z^(p-1) + z^p alpha; the products with alpha are built
+    up one factor 1/(z-a) or z at a time from its partial fractions.
+    """
+    alpha_terms = _terms(alpha)
+    poles = {key[1] for key in alpha_terms if key[0] == "pp"}
+    inverses = {a: {b: ONE / (a - b) for b in poles if b != a} for a in poles}
+    chains: dict = {}
+
+    def times_alpha(coord):
+        # (z-a)^-k alpha from (z-a)^-(k-1) alpha, z^p alpha from z^(p-1) alpha
+        if coord in chains:
+            return chains[coord]
+        if coord[0] == "pp":
+            _, a, k = coord
+            prev = alpha_terms if k == 1 else times_alpha(("pp", a, k - 1))
+            out = _over_linear(prev, a, inverses[a])
+        else:
+            p = coord[1]
+            out = alpha_terms if p == 0 else _times_z(times_alpha(("poly", p - 1)))
+        chains[coord] = out
+        return out
+
+    index = _index(form_coords)
+    columns = []
+    for coord in sec_coords:
+        image = dict(times_alpha(coord))
+        if coord[0] == "pp":
+            _, a, k = coord
+            _add_term(image, ("pp", a, k + 1), as_scalar(-k))
+        elif coord[1] > 0:
+            _add_term(image, ("poly", coord[1] - 1), as_scalar(coord[1]))
+        columns.append(_place(image, index))
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -226,35 +331,24 @@ def _candidate_key(vec, coords):
     return (total, worst)
 
 
-class _LatticeComputation:
-    def __init__(self, c: Connection, profile, bounds: dict[Point, int]):
+class _Level:
+    """The lattice pair at one set of bounds and, once eliminated, the rank
+    mod p of nabla between them."""
+
+    def __init__(self, profile, bounds: dict[Point, int]):
         self.bounds = bounds
-        self.sec, self.form = _lattice_pair(profile, bounds)
-        self.sec_coords = self.sec.ambient()
-        self.form_coords = self.form.ambient()
-        self.sec_basis = self.sec.basis_vectors()
-        self.form_basis = self.form.basis_vectors()
-        f_alpha = c.alpha
-        self.image_cols: list[list[GaussianRational]] = []
-        elem_images: dict[int, list[GaussianRational]] = {}
-        for i, coord in enumerate(self.sec_coords):
-            g = element_function(coord)
-            image = _nabla_image(g, coord, f_alpha)
-            elem_images[i] = decompose(image, self.form_coords)
-        for v in self.sec_basis:
-            col = [ZERO] * len(self.form_coords)
-            for i, x in enumerate(v):
-                if x:
-                    img = elem_images[i]
-                    col = [cx + x * ix for cx, ix in zip(col, img)]
-            self.image_cols.append(col)
-        self.tracker = SpanTracker(len(self.form_coords))
-        self.image_rank = 0
-        for col in self.image_cols:
-            if self.tracker.add(col):
-                self.image_rank += 1
-        self.ker_dim = len(self.sec_basis) - self.image_rank
-        self.coker_dim = len(self.form_basis) - self.image_rank
+        sec, form = _lattice_pair(profile, bounds)
+        self.points = sec.finite_points
+        self.sec_coords = sec.ambient()
+        self.form_coords = form.ambient()
+        self.form_basis = form.basis_vectors()
+
+    def eliminated(self, tracker: SpanTracker, embed: list[int]) -> None:
+        """Record the tracker holding this level's image; embed maps this
+        level's form coordinates to the tracker's."""
+        self.tracker, self.embed = tracker, embed
+        self.ker_dim = len(self.sec_coords) - tracker.rank
+        self.coker_dim = len(self.form_basis) - tracker.rank
 
     def select_basis(self) -> list[list[GaussianRational]]:
         ranked = sorted(
@@ -268,29 +362,65 @@ class _LatticeComputation:
         for i in ranked:
             if len(selected) == self.coker_dim:
                 break
-            if self.tracker.add(self.form_basis[i]):
+            v = [ZERO] * self.tracker.dim
+            for j, x in zip(self.embed, self.form_basis[i]):
+                v[j] = x
+            if self.tracker.add(v):
                 selected.append(self.form_basis[i])
         if len(selected) != self.coker_dim:
             raise LatticeTooSmall("could not complete a cokernel basis")
         return selected
 
 
-def _nabla_image(g: RationalFunction, coord: tuple, f_alpha: RationalFunction):
-    """nabla(g) = (g' + g * f_alpha) dz, returned as the coefficient function."""
-    if coord[0] == "pp":
-        _, a, k = coord
-        deriv = RationalFunction.from_coeffs(
-            (as_scalar(-k),), p_pow_linear(a, k + 1)
-        )
-    else:
-        _, p = coord
-        if p == 0:
-            deriv = RationalFunction.zero()
-        else:
-            deriv = RationalFunction.from_coeffs(
-                [ZERO] * (p - 1) + [as_scalar(p)], (ONE,)
+def _eliminate(alpha, profile, bounds, h0: int, label: str, p: int):
+    """nabla at bounds B and 2B from one matrix, eliminated mod p, with both
+    ranks certified by kernel = h0.
+
+    The matrix is built at 2B with the columns of the B sections first.
+    Those lie in the B form lattice, which embeds in the 2B one, so the rank
+    after them is the rank at B and the rank after all columns that at 2B.
+    """
+    small, big = _Level(profile, bounds), _Level(profile, _scaled_bounds(bounds, 2))
+    require_distinct_mod(small.points, p)
+    first = set(small.sec_coords)
+    order = small.sec_coords + [c for c in big.sec_coords if c not in first]
+    columns = nabla_columns(alpha, order, big.form_coords)
+    index = _index(big.form_coords)
+    tracker = SpanTracker(len(index), p)
+    n = len(small.sec_coords)
+    for col in columns[:n]:
+        tracker.add(col)
+    small.eliminated(tracker.copy(), [index[c] for c in small.form_coords])
+    for col in columns[n:]:
+        tracker.add(col)
+    big.eliminated(tracker, list(range(len(index))))
+    for level in (small, big):
+        if level.ker_dim != h0:
+            raise LatticeTooSmall(
+                f"lattice kernel {level.ker_dim} disagrees with h0 = {h0} for {label}"
             )
-    return deriv + g * f_alpha
+    return small, big
+
+
+def _cohomology_level(alpha, profile, bounds, h0: int, label: str, p: int) -> _Level:
+    """The certified level whose cokernel is H^1: bounds B if the cokernel at
+    2B agrees, else 2B if the one at 4B agrees."""
+    small, big = _eliminate(alpha, profile, bounds, h0, label, p)
+    if small.coker_dim != big.coker_dim:
+        small, big = _eliminate(
+            alpha, profile, _scaled_bounds(bounds, 2), h0, label, p
+        )
+        if small.coker_dim != big.coker_dim:
+            raise LatticeTooSmall(
+                f"cokernel dimension unstable under enlargement for {label}"
+            )
+    if all(sp.pole_order >= 1 for sp in profile):
+        chi = 2 - sum(sp.pole_order for sp in profile)
+        if small.coker_dim - small.ker_dim != -chi:
+            raise LatticeTooSmall(
+                f"cokernel violates the Euler characteristic for {label}"
+            )
+    return small
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +455,11 @@ def h1_basis(
 ) -> CohomologyBasis:
     """Echelon basis of H^1_dR, preferring representatives with low pole order.
 
-    Runs the lattice computation at the default bounds and at doubled bounds;
-    if the dimensions disagree it doubles once more, and raises
-    LatticeTooSmall if they still disagree.
+    Takes the cokernel at the default bounds if doubling them does not change
+    it, else at doubled bounds if doubling once more does not; raises
+    LatticeTooSmall if neither holds.  Each rank is found mod a prime of
+    linalg.PRIMES and certified by kernel = h0; a prime that cannot reduce
+    the data or certify a rank gives way to the next one.
     """
     profile = singular_profile(c)
     h0 = h0_dimension(c)
@@ -338,37 +470,27 @@ def h1_basis(
                 raise InputError(f"{point_str(p)} is not on the singular divisor")
             bounds[p] = max(bounds[p], b)
 
-    comp = _LatticeComputation(c, profile, bounds)
-    comp2 = _LatticeComputation(c, profile, _scaled_bounds(bounds, 2))
-    if (comp.ker_dim, comp.coker_dim) != (comp2.ker_dim, comp2.coker_dim):
-        comp4 = _LatticeComputation(c, profile, _scaled_bounds(bounds, 4))
-        if (comp2.ker_dim, comp2.coker_dim) != (comp4.ker_dim, comp4.coker_dim):
-            raise LatticeTooSmall(
-                f"cokernel dimension unstable under enlargement for {c.label}"
-            )
-        comp = comp2
-
-    if comp.ker_dim != h0:
-        raise LatticeTooSmall(
-            f"lattice kernel {comp.ker_dim} disagrees with h0 = {h0} for {c.label}"
+    alpha = partial_fractions(c.alpha)
+    failure: Exception | None = None
+    for p in linalg.PRIMES:
+        try:
+            level = _cohomology_level(alpha, profile, bounds, h0, c.label, p)
+            selected = level.select_basis()
+        except (BadPrime, LatticeTooSmall) as exc:
+            failure = exc
+            continue
+        forms = tuple(vector_function(v, level.form_coords) for v in selected)
+        return CohomologyBasis(
+            h0_dim=h0,
+            h1_dim=level.coker_dim,
+            basis=forms,
+            section_bounds=tuple(
+                sorted(level.bounds.items(), key=lambda kv: point_key(kv[0]))
+            ),
         )
-    if all(sp.pole_order >= 1 for sp in profile):
-        chi = 2 - sum(sp.pole_order for sp in profile)
-        if comp.coker_dim - comp.ker_dim != -chi:
-            raise LatticeTooSmall(
-                f"cokernel violates the Euler characteristic for {c.label}"
-            )
-
-    selected = comp.select_basis()
-    forms = tuple(vector_function(v, comp.form_coords) for v in selected)
-    return CohomologyBasis(
-        h0_dim=h0,
-        h1_dim=comp.coker_dim,
-        basis=forms,
-        section_bounds=tuple(
-            sorted(comp.bounds.items(), key=lambda kv: point_key(kv[0]))
-        ),
-    )
+    if isinstance(failure, LatticeTooSmall):
+        raise failure
+    raise LatticeTooSmall(f"no prime reduces the lattice of {c.label}: {failure}")
 
 
 def _form_orders(c: Connection, form: RationalFunction) -> dict[Point, int]:
@@ -406,19 +528,19 @@ def reduce_form(
         need = order - max(m, 1)
         if need > bounds[p]:
             bounds[p] = need
-    comp = _LatticeComputation(c, profile, bounds)
-    target = decompose(form, comp.form_coords)
-    basis_cols = [decompose(b, comp.form_coords) for b in basis.basis]
-    columns = comp.image_cols + basis_cols
-    rows = [
-        [col[r] for col in columns] for r in range(len(comp.form_coords))
-    ]
-    from .linalg import solve
-
+    sec, form_lattice = _lattice_pair(profile, bounds)
+    form_coords = form_lattice.ambient()
+    image_cols = nabla_columns(
+        partial_fractions(c.alpha), sec.ambient(), form_coords
+    )
+    target = decompose(form, form_coords)
+    basis_cols = [decompose(b, form_coords) for b in basis.basis]
+    columns = image_cols + basis_cols
+    rows = [[col[r] for col in columns] for r in range(len(form_coords))]
     x = solve(rows, target)
     if x is None:
         raise LatticeTooSmall("form did not reduce against the cohomology basis")
-    return x[len(comp.image_cols):]
+    return x[len(image_cols):]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
-Scalars are pairs of exact rationals (gmpy2.mpq when available, else
-fractions.Fraction; same API for everything used here).  Rational functions
-are stored as coprime coefficient lists with a monic denominator, so equality
-of canonical forms is structural equality.  Everything in this module is
-exact; floats only appear in the `complex()` conversions used by the
-numerical layer.
+Scalars are pairs of exact rationals (`fractions.Fraction`, also exported
+as `Rational`).  Rational functions are stored as coprime coefficient lists
+with a monic denominator, so equality of canonical forms is structural
+equality.  Everything in this module is exact; floats only appear in the
+`complex()` conversions used by the numerical layer.
 """
 
 from __future__ import annotations
@@ -18,10 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, IrreducibleDenominator
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:
-    Rational = Fraction
+Rational = Fraction
 
 _FR0 = Rational(0)
 _FR1 = Rational(1)
@@ -333,7 +329,7 @@ def _factor_int(n: int) -> dict[int, int]:
     return out
 
 
-def _sqrt_minus_one_mod(p: int) -> int:
+def sqrt_minus_one_mod(p: int) -> int:
     # p = 1 mod 4; find x with x^2 = -1 mod p by trying small bases
     for a in range(2, p):
         x = pow(a, (p - 1) // 4, p)
@@ -354,7 +350,7 @@ def _gi_prime_factors(g) -> list[tuple[tuple[int, int], int]]:
             pi = (1, 1)
             candidates = [pi]
         elif p % 4 == 1:
-            x = _sqrt_minus_one_mod(p)
+            x = sqrt_minus_one_mod(p)
             pi = _gi_gcd((p, 0), (x, 1))
             candidates = [pi, (pi[0], -pi[1])]
         else:

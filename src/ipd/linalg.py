@@ -1,13 +1,28 @@
-"""Dense exact linear algebra over the Gaussian rationals.
+"""Linear algebra over the Gaussian rationals.
 
-Matrices are lists of rows of GaussianRational.  Sizes here stay in the tens,
-so plain fraction Gauss elimination with first-nonzero pivoting is fast enough
-and completely deterministic.
+Matrices are lists of rows of GaussianRational.  `row_echelon`, `nullspace`
+and `solve` are exact fraction Gauss elimination with first-nonzero
+pivoting, deterministic and meant for small systems (`reduce_form`).
+
+`SpanTracker` finds the ranks of the large de Rham lattice maps.  It takes
+vectors over Q(i) but eliminates over F_p, for a prime p = 1 (mod 4) with i
+sent to a fixed square root of -1 mod p.  On the elements of Q(i) whose
+denominators are prime to p this map is a ring homomorphism (BadPrime is
+raised on any other), so a rank mod p never exceeds the rank over Q(i) and
+vectors independent mod p are independent over Q(i).  Equality of the ranks
+is for the caller to certify; `derham` does it with kernel = h0.
 """
 
 from __future__ import annotations
 
-from .exact import GaussianRational, ONE, ZERO
+from bisect import insort
+from functools import lru_cache
+
+from .exact import GaussianRational, ONE, ZERO, sqrt_minus_one_mod
+
+# Two primes = 1 (mod 4) just below 2^62: the second is tried when the first
+# fails to reduce the data or to certify a rank.
+PRIMES = (2**62 - 87, 2**62 - 143)
 
 Matrix = list[list[GaussianRational]]
 
@@ -83,41 +98,71 @@ def solve(m: Matrix, b: list[GaussianRational]) -> list[GaussianRational] | None
     return x
 
 
-class SpanTracker:
-    """Incremental column-span membership with exact elimination.
+class BadPrime(ArithmeticError):
+    """The data has no faithful image mod p."""
 
-    Rows kept in reduced form keyed by pivot index; `add` returns True when
-    the vector enlarged the span.
+
+@lru_cache(maxsize=None)
+def _sqrt_minus_one(p: int) -> int:
+    return sqrt_minus_one_mod(p)
+
+
+def _rational_mod(q, p: int) -> int:
+    d = q.denominator % p
+    if not d:
+        raise BadPrime(f"denominator of {q} vanishes mod {p}")
+    return q.numerator * pow(d, -1, p) % p if d != 1 else q.numerator % p
+
+
+def reduce_mod(x: GaussianRational, p: int) -> int:
+    """Image of x in F_p under i -> sqrt(-1) mod p; BadPrime if it has none."""
+    re = _rational_mod(x.re, p)
+    if not x.im:
+        return re
+    return (re + _sqrt_minus_one(p) * _rational_mod(x.im, p)) % p
+
+
+def require_distinct_mod(points, p: int) -> None:
+    """BadPrime unless distinct points of Q(i) stay distinct mod p."""
+    images = [reduce_mod(a, p) for a in points]
+    if len(set(images)) != len(images):
+        raise BadPrime(f"two of the points {[str(a) for a in points]} coincide mod {p}")
+
+
+class SpanTracker:
+    """Incremental span of Q(i) vectors, eliminated mod p.
+
+    Rows are kept in echelon form keyed by pivot index: a row is zero before
+    its pivot, 1 at it, and is stored from the pivot on.  `add` returns True
+    when the vector enlarged the span mod p.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, p: int | None = None):
         self.dim = dim
-        self.rows: dict[int, list[GaussianRational]] = {}
+        self.p = PRIMES[0] if p is None else p
+        self.rows: dict[int, list[int]] = {}
+        self._pivots: list[int] = []
 
-    def _reduce(self, v: list[GaussianRational]) -> list[GaussianRational]:
-        v = v[:]
-        for p in sorted(self.rows):
-            if v[p]:
-                f = v[p]
-                row = self.rows[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def contains(self, v: list[GaussianRational]) -> bool:
-        return not any(self._reduce(v))
+    def copy(self) -> "SpanTracker":
+        # rows are never changed once stored, so they can be shared
+        out = SpanTracker(self.dim, self.p)
+        out.rows = dict(self.rows)
+        out._pivots = self._pivots[:]
+        return out
 
     def add(self, v: list[GaussianRational]) -> bool:
-        red = self._reduce(v)
+        p = self.p
+        red = [reduce_mod(x, p) if x else 0 for x in v]
+        for q in self._pivots:
+            f = red[q]
+            if f:
+                red[q:] = [(x - f * y) % p for x, y in zip(red[q:], self.rows[q])]
         pivot = next((i for i, x in enumerate(red) if x), None)
         if pivot is None:
             return False
-        inv = ONE / red[pivot]
-        red = [x * inv for x in red]
-        for p, row in self.rows.items():
-            if row[pivot]:
-                f = row[pivot]
-                self.rows[p] = [x - f * y for x, y in zip(row, red)]
-        self.rows[pivot] = red
+        inv = pow(red[pivot], -1, p)
+        self.rows[pivot] = [x * inv % p for x in red[pivot:]]
+        insort(self._pivots, pivot)
         return True
 
     @property

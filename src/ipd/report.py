@@ -11,16 +11,16 @@ from typing import Optional
 from . import __version__
 from .connection import Connection, connection_to_json, point_str, singular_profile
 from .cycles import candidate_basis, cycle_to_json
-from .derham import euler_characteristics, h1_basis
+from .derham import CohomologyBasis, euler_characteristics, h1_basis
 from .errors import IpdError
 from .homology import rd_profile
 from .quadrature import period_matrix
 from .suites import CheckResult, _exact_check, _threshold_check
 
 
-def dims_json(c: Connection) -> dict:
-    """The `dims` document: both cohomology dimensions plus Euler data."""
-    basis = h1_basis(c)
+def dims_json(c: Connection, basis: CohomologyBasis) -> dict:
+    """The `dims` document of `basis = h1_basis(c)`: both cohomology
+    dimensions plus Euler data."""
     orders = [p.pole_order for p in singular_profile(c)]
     euler = euler_characteristics(1, 0, [[(m, 1)] for m in orders], len(orders))
     return {
@@ -76,7 +76,7 @@ def generate_report(c: Connection, rel_tol: float = 1e-12, cycles=None) -> dict:
     basis = h1_basis(c)
     prof = rd_profile(c)
     doc["profile"] = profile_json(c)
-    doc["dims"] = dims_json(c)
+    doc["dims"] = dims_json(c, basis)
 
     checks.append(_exact_check("duality.h1", basis.h1_dim, prof.h1_rd))
     checks.append(_exact_check("duality.h0", basis.h0_dim, prof.h0_rd))
