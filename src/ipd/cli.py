@@ -10,7 +10,7 @@ import csv
 import json
 import sys
 
-from .connection import connection_from_json
+from .connection import load_connection
 from .cycles import candidate_basis, cycle_to_json, load_cycles, validate_cycle
 from .derham import h1_basis
 from .errors import DomainError, InputError, IpdError
@@ -20,17 +20,6 @@ from .stokes import stokes_geometry
 from .suites import SUITE_NAMES, run_suite
 
 
-def _load_connection(path: str):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}")
-    return connection_from_json(data)
-
-
 def _emit(doc, args) -> None:
     if not args.quiet:
         json.dump(doc, sys.stdout, indent=2)
@@ -38,14 +27,14 @@ def _emit(doc, args) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    c = _load_connection(args.connection)
+    c = load_connection(args.connection)
     doc = generate_report(c)
     _emit(doc, args)
     return 0 if all(ch["pass"] for ch in doc["checks"]) else 1
 
 
 def _cmd_dims(args) -> int:
-    c = _load_connection(args.connection)
+    c = load_connection(args.connection)
     doc = dims_json(c, h1_basis(c))
     doc["profile"] = profile_json(c)
     _emit(doc, args)
@@ -53,7 +42,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
-    c = _load_connection(args.connection)
+    c = load_connection(args.connection)
     try:
         cycles = candidate_basis(c)
     except IpdError as exc:
@@ -82,7 +71,7 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_periods(args) -> int:
-    c = _load_connection(args.connection)
+    c = load_connection(args.connection)
     basis = h1_basis(c)
     if args.cycles:
         cycles = load_cycles(args.cycles)

@@ -25,6 +25,7 @@ from .exact import (
     change_chart_infinity,
     differentiate,
     format_scalar,
+    p_pow_linear,
     parse_scalar,
     partial_fractions,
     scalar_sort_key,
@@ -179,14 +180,13 @@ def singular_profile(c: Connection) -> tuple[SingularPointData, ...]:
     return profile
 
 
-def singular_points(c: Connection) -> tuple[Point, ...]:
-    return tuple(sp.location for sp in singular_profile(c))
-
-
-def finite_singular_points(c: Connection) -> tuple[GaussianRational, ...]:
-    return tuple(
-        sp.location for sp in singular_profile(c) if sp.location is not INFINITY
-    )
+def finite_singular_points(c: Connection) -> dict[GaussianRational, complex]:
+    """Each finite point of D mapped to its position in the z-plane."""
+    return {
+        sp.location: complex(sp.location)
+        for sp in singular_profile(c)
+        if sp.location is not INFINITY
+    }
 
 
 def profile_at(c: Connection, p: Point) -> SingularPointData:
@@ -221,20 +221,14 @@ def global_antiderivative(c: Connection) -> GlobalAntiderivative:
             logs.append((a, coeff))
         else:
             f = f + RationalFunction.from_coeffs(
-                (coeff / as_scalar(1 - k),), _linear_power(a, k - 1)
+                (coeff / as_scalar(1 - k),), p_pow_linear(a, k - 1)
             )
     check = differentiate(f)
     for a, s in logs:
-        check = check + RationalFunction.from_coeffs((s,), _linear_power(a, 1))
+        check = check + RationalFunction.from_coeffs((s,), p_pow_linear(a, 1))
     if not (check - c.alpha).is_zero():
         raise AssertionError("antiderivative check failed")
     return GlobalAntiderivative(f_global=f, log_terms=tuple(logs))
-
-
-def _linear_power(a: GaussianRational, m: int):
-    from .exact import p_pow_linear
-
-    return p_pow_linear(a, m)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +259,16 @@ def connection_from_json(doc: dict) -> Connection:
     return canonicalize(rf, label=label)
 
 
-def load_connection(path: str) -> Connection:
+def read_json(path: str):
+    """Parse a JSON file; an unreadable or malformed file is an InputError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read connection file {path}: {exc}") from exc
-    return connection_from_json(doc)
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_connection(path: str) -> Connection:
+    return connection_from_json(read_json(path))

@@ -6,9 +6,10 @@ sector of the dual flat section, and leaves into one.  At infinity a ray
 with local direction theta (in w = 1/z) runs along z-direction -theta.
 
 Branch bookkeeping: the cycle records arg(z - a) for every finite singular
-point a at its base point (the first anchor); continuation along the pieces
-is computed by bounded-turn stepping, so Hankel loops acquire their 2*pi
-branch shift exactly from the arc around the loop point.
+point a at its base point (the first anchor).  One walker, `walk`, continues
+these args along every bounded piece by bounded-turn stepping; validation
+(`thread_interior`) and quadrature both use it, so Hankel loops acquire
+their 2*pi branch shift exactly from the arc around the loop point.
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ from .connection import (
     Connection,
     INFINITY,
     Point,
+    finite_singular_points,
     parse_point,
     point_key,
     point_str,
+    profile_at,
+    read_json,
     singular_profile,
 )
 from .errors import BasisNotFound, InputError, InvalidAnchor, NotIrregular, SingularApproach
@@ -112,12 +116,6 @@ class Cycle:
     base_args: tuple[tuple[Point, float], ...]
     orientation: int = 1
 
-    def base_point(self) -> complex:
-        first = self.pieces[0]
-        if isinstance(first, DecayRay):
-            return first.anchor()
-        return piece_endpoints(first)[0]
-
     def args_dict(self) -> dict[Point, float]:
         return dict(self.base_args)
 
@@ -128,18 +126,11 @@ def default_base_args(c: Connection, pieces: tuple[Piece, ...]) -> tuple:
     first = pieces[0]
     base = first.anchor() if isinstance(first, DecayRay) else piece_endpoints(first)[0]
     args = []
-    for sp in singular_profile(c):
-        if sp.location is INFINITY:
-            continue
-        a = complex(sp.location)
-        if (
-            isinstance(first, DecayRay)
-            and first.point is not INFINITY
-            and first.point == sp.location
-        ):
-            args.append((sp.location, first.direction))
+    for p, a in finite_singular_points(c).items():
+        if isinstance(first, DecayRay) and first.point == p:
+            args.append((p, first.direction))
         else:
-            args.append((sp.location, cmath.phase(base - a)))
+            args.append((p, cmath.phase(base - a)))
     return tuple(args)
 
 
@@ -166,46 +157,79 @@ def _seg_point_dist(z0: complex, z1: complex, a: complex) -> float:
     return abs(z0 + t * d - a)
 
 
-def advance_args(
-    args: dict[Point, float],
-    param,
-    t0: float,
-    t1: float,
-    tracked: dict[Point, complex],
-    skip: Point | None = None,
-    depth: int = 0,
-) -> None:
-    """Continue each tracked arg along z = param(t), t in [t0, t1], in place.
-
-    Each accepted step keeps the chord shorter than half its distance to
-    every tracked point, so every arg moves by less than pi/2 per step and
-    the principal-value increment is the true one.
-    """
+def _chunk_edges(param, tracked: dict, t0: float, t1: float, depth: int = 0):
+    """Split [t0, t1] so each chunk's chord is under half its clearance."""
     z0, z1 = param(t0), param(t1)
     if depth > MAX_SPLIT_DEPTH:
         raise SingularApproach("branch stepping did not separate from a singular point")
-    for p, a in tracked.items():
-        if p == skip:
-            continue
-        if abs(z1 - z0) > 0.5 * _seg_point_dist(z0, z1, a):
+    for a in tracked.values():
+        d = _seg_point_dist(z0, z1, a)
+        if d <= 0.0 or abs(z1 - z0) > 0.5 * d:
             tm = 0.5 * (t0 + t1)
-            advance_args(args, param, t0, tm, tracked, skip, depth + 1)
-            advance_args(args, param, tm, t1, tracked, skip, depth + 1)
+            yield from _chunk_edges(param, tracked, t0, tm, depth + 1)
+            yield from _chunk_edges(param, tracked, tm, t1, depth + 1)
             return
-    for p, a in tracked.items():
-        if p == skip:
-            continue
-        args[p] += cmath.phase((z1 - a) / (z0 - a))
+    yield (t0, t1)
 
 
-def _piece_param(piece: Piece):
-    """Parametrization z(t), t in [0, 1], start to end, for bounded pieces."""
+def piece_param(piece: Piece):
+    """z(t) and z'(t), t in [0, 1], start to end, for bounded pieces."""
     if isinstance(piece, Line):
-        return lambda t: piece.start + t * (piece.end - piece.start)
+        d = piece.end - piece.start
+        return (lambda t: piece.start + t * d), (lambda t: d)
     if isinstance(piece, Arc):
-        dtheta = piece.theta1 - piece.theta0
-        return lambda t: piece.center + cmath.rect(piece.radius, piece.theta0 + t * dtheta)
+        sweep = piece.theta1 - piece.theta0
+        return (
+            lambda t: piece.center + cmath.rect(piece.radius, piece.theta0 + t * sweep),
+            lambda t: 1j * sweep * cmath.rect(piece.radius, piece.theta0 + t * sweep),
+        )
     raise InputError("decay rays have no bounded parametrization")
+
+
+def walk(piece: Piece, tracked: dict[Point, complex], args: dict[Point, float]):
+    """Continue the log branches arg(z - a) along a bounded piece.
+
+    Yields (u0, u1, args_at) for each chunk [u0, u1] of the parameter range
+    [0, 1], where args_at(z, t) gives the args at z = z(t) inside the chunk,
+    then advances `args` in place to the chunk's end.  Arcs are first cut at
+    half a radian of sweep; each chunk's chord is then kept under half its
+    distance to every stepped point, so no arg moves by pi/2 within a chunk
+    and the principal-value increment is the true one.  Around an arc's own
+    centre the arg advances exactly with the sweep.
+    """
+    param, _ = piece_param(piece)
+    own = None
+    seeds = [(0.0, 1.0)]
+    if isinstance(piece, Arc):
+        sweep = piece.theta1 - piece.theta0
+        own = next(
+            (p for p, a in tracked.items() if abs(a - piece.center) < 1e-12), None
+        )
+        if abs(sweep) > 0.5:
+            n = math.ceil(abs(sweep) / 0.5)
+            seeds = [(i / n, (i + 1) / n) for i in range(n)]
+    stepped = {p: a for p, a in tracked.items() if p != own}
+
+    for s0, s1 in seeds:
+        for u0, u1 in _chunk_edges(param, stepped, s0, s1):
+            z_base = param(u0)
+            base = dict(args)
+
+            def args_at(z, t, base=base, z_base=z_base, u0=u0):
+                at = {
+                    p: base[p] + cmath.phase((z - a) / (z_base - a))
+                    for p, a in stepped.items()
+                }
+                if own is not None:
+                    at[own] = base[own] + sweep * (t - u0)
+                return at
+
+            yield u0, u1, args_at
+            z_end = param(u1)
+            for p, a in stepped.items():
+                args[p] += cmath.phase((z_end - a) / (z_base - a))
+            if own is not None:
+                args[own] += sweep * (u1 - u0)
 
 
 def thread_interior(
@@ -213,28 +237,15 @@ def thread_interior(
 ) -> dict[Point, float]:
     """Branch args threaded from the base point to the end of the last
     bounded piece (or to the final anchor when the cycle ends in a ray)."""
-    tracked = {
-        sp.location: complex(sp.location)
-        for sp in singular_profile(c)
-        if sp.location is not INFINITY
-    }
+    tracked = finite_singular_points(c)
     args = cy.args_dict()
     for p in tracked:
         if p not in args:
             raise InputError(f"cycle carries no branch value for {point_str(p)}")
     for piece in cy.pieces:
-        if isinstance(piece, DecayRay):
-            continue
-        if isinstance(piece, Arc):
-            own = None
-            for p, a in tracked.items():
-                if abs(a - piece.center) < 1e-12:
-                    own = p
-                    args[p] += piece.theta1 - piece.theta0
-                    break
-            advance_args(args, _piece_param(piece), 0.0, 1.0, tracked, skip=own)
-        else:
-            advance_args(args, _piece_param(piece), 0.0, 1.0, tracked)
+        if not isinstance(piece, DecayRay):
+            for _ in walk(piece, tracked, args):
+                pass
     return args
 
 
@@ -259,7 +270,7 @@ def _fail(reason: str, closed=False) -> ValidityReport:
     return ValidityReport(False, reason, closed, False, 0.0)
 
 
-def _piece_clearance(piece: Piece, p: Point, a: complex) -> float:
+def _piece_clearance(piece: Piece, a: complex) -> float:
     """Distance from a piece to the singular point a (its z-plane position)."""
     if isinstance(piece, Line):
         return _seg_point_dist(piece.start, piece.end, a)
@@ -282,6 +293,17 @@ def _piece_clearance(piece: Piece, p: Point, a: complex) -> float:
         t = max(0.0, t)
         return abs(z0 + t * direction - a)
     return _seg_point_dist(complex(piece.point), piece.anchor(), a)
+
+
+def clearances(c: Connection, cy: Cycle):
+    """(piece index, point, distance) for each piece and each finite singular
+    point it must keep clear of: every one but a decay ray's own point."""
+    finite = finite_singular_points(c)
+    for i, piece in enumerate(cy.pieces):
+        for p, a in finite.items():
+            if isinstance(piece, DecayRay) and piece.point == p:
+                continue
+            yield i, p, _piece_clearance(piece, a)
 
 
 def validate_cycle(c: Connection, cy: Cycle, delta: float = DELTA) -> ValidityReport:
@@ -332,8 +354,7 @@ def validate_cycle(c: Connection, cy: Cycle, delta: float = DELTA) -> ValidityRe
             return _fail("closed cycle does not return to its base point", closed=True)
 
     # decay anchoring
-    profile = singular_profile(c)
-    locations = {sp.location for sp in profile}
+    locations = {sp.location for sp in singular_profile(c)}
     for i in (0, len(cy.pieces) - 1):
         piece = cy.pieces[i]
         if not isinstance(piece, DecayRay):
@@ -355,19 +376,10 @@ def validate_cycle(c: Connection, cy: Cycle, delta: float = DELTA) -> ValidityRe
 
     # clearance
     min_clear = math.inf
-    for i, piece in enumerate(cy.pieces):
-        for sp in profile:
-            if sp.location is INFINITY:
-                continue
-            if isinstance(piece, DecayRay) and piece.point == sp.location:
-                continue
-            a = complex(sp.location)
-            d = _piece_clearance(piece, sp.location, a)
-            min_clear = min(min_clear, d)
-            if d < delta:
-                return _fail(
-                    f"piece {i} passes within {d:.2e} of {point_str(sp.location)}"
-                )
+    for i, p, d in clearances(c, cy):
+        min_clear = min(min_clear, d)
+        if d < delta:
+            return _fail(f"piece {i} passes within {d:.2e} of {point_str(p)}")
 
     # branch consistency
     try:
@@ -508,17 +520,12 @@ def _split_line(z0: complex, z1: complex, min_len: float = 0.2) -> list[Line]:
 
 
 def _anchor_radius_inf(c: Connection) -> float:
-    finite = [abs(complex(sp.location)) for sp in singular_profile(c) if sp.location is not INFINITY]
-    return 2.0 + 2.0 * max(finite, default=0.0)
+    return 2.0 + 2.0 * max(map(abs, finite_singular_points(c).values()), default=0.0)
 
 
 def _anchor_radius_finite(c: Connection, p: Point) -> float:
-    sp = next(s for s in singular_profile(c) if s.location == p)
-    others = [
-        abs(complex(p) - complex(q.location))
-        for q in singular_profile(c)
-        if q.location is not INFINITY and q.location != p
-    ]
+    sp = profile_at(c, p)
+    others = [abs(complex(p) - a) for q, a in finite_singular_points(c).items() if q != p]
     d_near = min(others) if others else math.inf
     r = min(1.0, d_near / 2.0)
     if sp.exponential_part:
@@ -829,13 +836,7 @@ def save_cycles(path: str, cycles: list[Cycle]) -> None:
 
 
 def load_cycles(path: str) -> list[Cycle]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, list):
         raise InputError("cycle file must hold a JSON list")
     return [cycle_from_json(d) for d in data]

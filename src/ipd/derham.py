@@ -31,6 +31,7 @@ from .connection import (
     SingularPointData,
     point_key,
     point_str,
+    profile_at,
     singular_profile,
 )
 from .errors import InputError, InconsistentRank, LatticeTooSmall
@@ -524,8 +525,7 @@ def reduce_form(
     profile = singular_profile(c)
     bounds = basis.bounds_dict()
     for p, order in _form_orders(c, form).items():
-        m = next(sp.pole_order for sp in profile if sp.location == p)
-        need = order - max(m, 1)
+        need = order - max(profile_at(c, p).pole_order, 1)
         if need > bounds[p]:
             bounds[p] = need
     sec, form_lattice = _lattice_pair(profile, bounds)

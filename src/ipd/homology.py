@@ -15,9 +15,7 @@ from fractions import Fraction
 
 from .connection import Connection, Point, singular_profile
 from .errors import InconsistentMonodromy, NonIntegralDimension
-from .exact import GaussianRational, Rational
-
-_Q0 = Rational(0)
+from .exact import GaussianRational
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 The integrand along a cycle is (dual flat section) * (rational 1-form).
 The section is exp(f(z) + sum_j s_j log(z - a_j)) with f rational and the
-log branches threaded along the path: every piece is cut into chunks short
-enough that no arg(z - a_j) moves by pi/2 within a chunk, so principal-value
+log branches threaded along the path by the walker `cycles.walk`, the same
+one that validation uses: every piece is cut into chunks short enough that
+no arg(z - a_j) moves by pi/2 within a chunk, so principal-value
 continuation from the chunk base is unambiguous.  Bounded chunks use
 adaptive Gauss-Kronrod 7-15 with a tanh-sinh fallback near singular
 endpoints; decay rays use dyadic chunks with an explicit exponential tail
@@ -20,15 +21,14 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .connection import Connection, INFINITY, Point, global_antiderivative, singular_profile
-from .cycles import (
-    Arc,
-    Cycle,
-    DecayRay,
-    Line,
-    _piece_clearance,
-    _seg_point_dist,
+from .connection import (
+    Connection,
+    INFINITY,
+    finite_singular_points,
+    global_antiderivative,
+    profile_at,
 )
+from .cycles import Cycle, DecayRay, Line, Piece, clearances, piece_param, walk
 from .derham import CohomologyBasis
 from .errors import InputError, SingularApproach
 from .exact import RationalFunction
@@ -37,7 +37,6 @@ from .families import bessel_parameter
 EXP_CAP = 700.0
 TRUNCATE_REL = 1e-16
 MAX_RAY_CHUNKS = 64
-MAX_SPLIT_DEPTH = 60
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK QK15 constants)
 _XGK = (
@@ -54,18 +53,7 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.41795918367346
 
 
 # ---------------------------------------------------------------------------
-# branch state and section evaluation
-
-
-@dataclass
-class BranchState:
-    """Base point and the chosen arg(z - a_j) for each finite singular point."""
-
-    z: complex
-    args: dict
-
-    def copy(self) -> "BranchState":
-        return BranchState(self.z, dict(self.args))
+# section evaluation
 
 
 class _SectionContext:
@@ -79,11 +67,7 @@ class _SectionContext:
         self.log_terms = [
             (p, complex(p), complex(s)) for p, s in anti.log_terms
         ]
-        self.tracked = {
-            sp.location: complex(sp.location)
-            for sp in singular_profile(c)
-            if sp.location is not INFINITY
-        }
+        self.tracked = finite_singular_points(c)
 
     def section(self, z: complex, args: dict) -> complex:
         w = complex(self.f.eval_complex(z))
@@ -190,21 +174,6 @@ def _tanh_sinh(f, a: float, b: float, levels: int = 9):
     return value, abs(value - prev), False
 
 
-def _chunk_edges(param, tracked: dict, t0: float, t1: float, depth: int = 0):
-    """Split [t0, t1] so each chunk's chord is under half its clearance."""
-    z0, z1 = param(t0), param(t1)
-    if depth > MAX_SPLIT_DEPTH:
-        raise SingularApproach("chunking did not separate from a singular point")
-    for a in tracked.values():
-        d = _seg_point_dist(z0, z1, a)
-        if d <= 0.0 or abs(z1 - z0) > 0.5 * d:
-            tm = 0.5 * (t0 + t1)
-            yield from _chunk_edges(param, tracked, t0, tm, depth + 1)
-            yield from _chunk_edges(param, tracked, tm, t1, depth + 1)
-            return
-    yield (t0, t1)
-
-
 @dataclass
 class _Accum:
     value: complex = 0j
@@ -215,117 +184,53 @@ class _Accum:
     converged: bool = True
 
 
-def _integrate_param(
+def _integrate_piece(
     ctx: _SectionContext,
     form: RationalFunction,
-    param,
-    dparam,
-    state: BranchState,
-    t0: float,
-    t1: float,
+    piece: Piece,
+    args: dict,
     acc: _Accum,
     rel_tol: float,
-    arc_center: Optional[complex] = None,
-    arc_sweep: float = 0.0,
 ) -> None:
-    """Integrate F(z(t)) z'(t) dt over [t0, t1], threading state in place."""
-    tracked = ctx.tracked
-    own = None
-    if arc_center is not None:
-        for p, a in tracked.items():
-            if abs(a - arc_center) < 1e-12:
-                own = p
-        if own is not None:
-            # around its own center the arg advances exactly with the sweep
-            stepped = {p: a for p, a in tracked.items() if p != own}
-        else:
-            stepped = tracked
-    else:
-        stepped = tracked
+    """Integrate F(z) dz over a Line or Arc, threading args in place."""
+    param, dparam = piece_param(piece)
+    for u0, u1, args_at in walk(piece, ctx.tracked, args):
 
-    # cap arc chunks at half a radian of sweep so chord bounds hold inside
-    seeds = [(t0, t1)]
-    if arc_center is not None and abs(arc_sweep) > 0.5:
-        n = int(math.ceil(abs(arc_sweep) / 0.5))
-        edges = [t0 + (t1 - t0) * i / n for i in range(n + 1)]
-        seeds = list(zip(edges[:-1], edges[1:]))
+        def integrand(t):
+            z = param(t)
+            return ctx.section(z, args_at(z, t)) * complex(form.eval_complex(z)) * dparam(t)
 
-    for s0, s1 in seeds:
-        for u0, u1 in _chunk_edges(param, stepped, s0, s1):
-            z_base = param(u0)
-            base_args = dict(state.args)
-
-            def integrand(t):
-                z = param(t)
-                args = {
-                    p: base_args[p] + cmath.phase((z - a) / (z_base - a))
-                    for p, a in stepped.items()
-                }
-                if own is not None:
-                    args[own] = base_args[own] + arc_sweep * (t - u0) / (t1 - t0)
-                return ctx.section(z, args) * complex(form.eval_complex(z)) * dparam(t)
-
-            tol = rel_tol * max(acc.l1, abs(acc.value), 1.0)
-            val, err, ok = _adaptive_gk(integrand, u0, u1, tol)
-            if not ok:
-                val2, err2, ok2 = _tanh_sinh(integrand, u0, u1)
-                if err2 < err:
-                    val, err, ok = val2, err2, ok2
-            acc.value += val
-            acc.abs_error += err
-            acc.l1 += abs(val)
-            acc.segments += 1
-            acc.converged = acc.converged and ok
-            # thread the state across the chunk
-            z_end = param(u1)
-            for p, a in stepped.items():
-                state.args[p] += cmath.phase((z_end - a) / (z_base - a))
-            if own is not None:
-                state.args[own] += arc_sweep * (u1 - u0) / (t1 - t0)
-            state.z = z_end
-
-
-def _integrate_line(ctx, form, line: Line, state, acc, rel_tol):
-    d = line.end - line.start
-    _integrate_param(
-        ctx, form,
-        lambda t: line.start + t * d,
-        lambda t: d,
-        state, 0.0, 1.0, acc, rel_tol,
-    )
-
-
-def _integrate_arc(ctx, form, arc: Arc, state, acc, rel_tol):
-    sweep = arc.theta1 - arc.theta0
-    _integrate_param(
-        ctx, form,
-        lambda t: arc.center + cmath.rect(arc.radius, arc.theta0 + t * sweep),
-        lambda t: 1j * sweep * cmath.rect(arc.radius, arc.theta0 + t * sweep),
-        state, 0.0, 1.0, acc, rel_tol,
-        arc_center=arc.center, arc_sweep=sweep,
-    )
+        tol = rel_tol * max(acc.l1, abs(acc.value), 1.0)
+        val, err, ok = _adaptive_gk(integrand, u0, u1, tol)
+        if not ok:
+            val2, err2, ok2 = _tanh_sinh(integrand, u0, u1)
+            if err2 < err:
+                val, err, ok = val2, err2, ok2
+        acc.value += val
+        acc.abs_error += err
+        acc.l1 += abs(val)
+        acc.segments += 1
+        acc.converged = acc.converged and ok
 
 
 def _ray_decay_rate(ctx: _SectionContext, ray: DecayRay) -> tuple[float, int]:
     """(gamma, k): the section decays like exp(-gamma r^-k) at a finite point
     (exp(-gamma R^k) in |z| = R at infinity) along the ray direction."""
-    for sp in singular_profile(ctx.connection):
-        if sp.location == ray.point:
-            a, k = sp.leading_term()
-            gamma = -(complex(a) * cmath.rect(1.0, -k * ray.direction)).real
-            # directions on a Stokes line give gamma ~ 1e-16*|a| from rounding,
-            # far below the ~1e-6*|a| floor a margin-respecting anchor has
-            if gamma <= 1e-11 * abs(complex(a)):
-                raise SingularApproach(
-                    "decay ray direction does not decay; invalid cycle"
-                )
-            return gamma, k
-    raise InputError("ray does not sit at a singular point")
+    a, k = profile_at(ctx.connection, ray.point).leading_term()
+    gamma = -(complex(a) * cmath.rect(1.0, -k * ray.direction)).real
+    # directions on a Stokes line give gamma ~ 1e-16*|a| from rounding,
+    # far below the ~1e-6*|a| floor a margin-respecting anchor has
+    if gamma <= 1e-11 * abs(complex(a)):
+        raise SingularApproach(
+            "decay ray direction does not decay; invalid cycle"
+        )
+    return gamma, k
 
 
-def _integrate_ray(ctx, form, ray: DecayRay, state, acc, rel_tol):
+def _integrate_ray(ctx, form, ray: DecayRay, args: dict, acc, rel_tol):
     """Integral over the ray in its traversal direction, starting or ending
-    at the anchor where `state` currently sits."""
+    at the anchor whose branch args are `args`; they are threaded in place
+    from the anchor to the decaying end."""
     gamma, k = _ray_decay_rate(ctx, ray)
     at_inf = ray.point is INFINITY
     if at_inf:
@@ -347,10 +252,10 @@ def _integrate_ray(ctx, form, ray: DecayRay, state, acc, rel_tol):
     for _ in range(MAX_RAY_CHUNKS):
         r_next = r_hi * 2.0 if at_inf else r_hi * 0.5
         seg = Line(z_of(r_hi), z_of(r_next))
-        _integrate_line(ctx, form, seg, state, sub, rel_tol)
+        _integrate_piece(ctx, form, seg, args, sub, rel_tol)
         r_hi = r_next
         f_edge = abs(
-            ctx.section(z_of(r_hi), state.args)
+            ctx.section(z_of(r_hi), args)
             * complex(form.eval_complex(z_of(r_hi)))
         )
         scale = max(sub.l1, abs(acc.value), 1.0)
@@ -361,7 +266,7 @@ def _integrate_ray(ctx, form, ray: DecayRay, state, acc, rel_tol):
         sub.converged = False
     r_star = r_hi
     f_star = abs(
-        ctx.section(z_of(r_star), state.args)
+        ctx.section(z_of(r_star), args)
         * complex(form.eval_complex(z_of(r_star)))
     )
     if at_inf:
@@ -392,9 +297,6 @@ class PeriodValue:
     scale: float
     converged: bool
 
-    def total_error(self) -> float:
-        return self.abs_error + self.tail_bound
-
 
 def integrate_cycle(
     c: Connection,
@@ -405,44 +307,27 @@ def integrate_cycle(
 ) -> PeriodValue:
     """Period of (dual section) * form over the cycle.
 
-    The branch state starts from the cycle's declared base args; pieces are
+    The branch args start from the cycle's declared base args; pieces are
     integrated in traversal order.  A piece passing within delta of a
     singular point raises SingularApproach.  Failure to meet the tolerance
     is reported through converged=False, not an exception.
     """
     ctx = _SectionContext(c, dual=True)
-    for i, piece in enumerate(cy.pieces):
-        for sp in singular_profile(c):
-            if sp.location is INFINITY:
-                continue
-            if isinstance(piece, DecayRay) and piece.point == sp.location:
-                continue
-            d = _piece_clearance(piece, sp.location, complex(sp.location))
-            if d < delta:
-                raise SingularApproach(
-                    f"piece {i} passes within {d:.2e} of a singular point"
-                )
+    for i, _, d in clearances(c, cy):
+        if d < delta:
+            raise SingularApproach(
+                f"piece {i} passes within {d:.2e} of a singular point"
+            )
 
     acc = _Accum()
-    state = BranchState(cy.base_point(), cy.args_dict())
-
-    first = cy.pieces[0]
-    if isinstance(first, DecayRay):
-        _integrate_ray(ctx, form, first, state, acc, rel_tol)
-        # the ray threading walked the state to the decaying end and back is
-        # not meaningful; reset to the anchor branch for the interior
-        state = BranchState(cy.base_point(), cy.args_dict())
-        rest = cy.pieces[1:]
-    else:
-        rest = cy.pieces
-
-    for piece in rest:
-        if isinstance(piece, Line):
-            _integrate_line(ctx, form, piece, state, acc, rel_tol)
-        elif isinstance(piece, Arc):
-            _integrate_arc(ctx, form, piece, state, acc, rel_tol)
+    args = cy.args_dict()
+    for i, piece in enumerate(cy.pieces):
+        if isinstance(piece, DecayRay):
+            # a ray threads its args out to the decaying end, so an opening
+            # ray gets a copy and the interior starts from the anchor branch
+            _integrate_ray(ctx, form, piece, dict(args) if i == 0 else args, acc, rel_tol)
         else:
-            _integrate_ray(ctx, form, piece, state, acc, rel_tol)
+            _integrate_piece(ctx, form, piece, args, acc, rel_tol)
 
     value = acc.value * cy.orientation
     return PeriodValue(
@@ -498,9 +383,6 @@ def period_matrix(
         rank = int(np.sum(diag > threshold))
     det = complex(np.linalg.det(m)) if m.shape[0] == m.shape[1] else None
     return PeriodMatrix(entries, rank, det, scale, threshold)
-
-
-_DERIV_FACTOR_CACHE: dict = {}
 
 
 def parametric_derivative_period(

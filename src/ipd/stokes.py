@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .connection import Connection, Point, SingularPointData, point_str, singular_profile
+from .connection import Connection, Point, point_str, profile_at
 from .errors import InvalidAnchor, NotIrregular
 
 TWO_PI = 2.0 * math.pi
@@ -96,7 +96,7 @@ def stokes_geometry(c: Connection, p: Point, dual: bool = True) -> StokesGeometr
     Raises NotIrregular when the point has pole order <= 1, since the decay
     pattern is then governed by the monodromy exponent, not by sectors.
     """
-    sp = _profile_at(c, p)
+    sp = profile_at(c, p)
     if not sp.is_irregular or not sp.exponential_part:
         raise NotIrregular(
             f"{point_str(p)} has pole order {sp.pole_order}; no Stokes rays"
@@ -114,10 +114,3 @@ def stokes_geometry_from_term(p: Point, a: complex, k: int) -> StokesGeometry:
     if a == 0:
         raise NotIrregular("zero leading coefficient has no Stokes rays")
     return _geometry_from_leading(p, cmath.phase(complex(a)), k)
-
-
-def _profile_at(c: Connection, p: Point) -> SingularPointData:
-    for sp in singular_profile(c):
-        if sp.location == p:
-            return sp
-    raise InvalidAnchor(f"{point_str(p)} is not a singular point of {c.label}")

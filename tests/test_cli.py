@@ -109,12 +109,15 @@ def test_quiet_suppresses_output(conn_file, capsys):
 
 
 def test_input_errors_exit_two(conn_file, capsys, tmp_path):
-    code, _, err = run_cli(capsys, "dims", str(tmp_path / "absent.json"))
+    absent = tmp_path / "absent.json"
+    code, _, err = run_cli(capsys, "dims", str(absent))
     assert code == 2 and "error" in err
+    assert f"cannot read {absent}: No such file or directory" in err
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
     code, _, err = run_cli(capsys, "dims", str(bad))
     assert code == 2
+    assert f"{bad} is not valid JSON: " in err
     zero_den = tmp_path / "zero.json"
     zero_den.write_text(json.dumps({"label": "x", "alpha": {"num": ["1"], "den": ["0"]}}))
     code, _, err = run_cli(capsys, "dims", str(zero_den))

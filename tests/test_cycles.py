@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -19,7 +20,9 @@ from ipd.cycles import (
     load_cycles,
     make_cycle,
     save_cycles,
+    thread_interior,
     validate_cycle,
+    walk,
 )
 from ipd.errors import InputError
 from ipd.exact import as_scalar
@@ -143,3 +146,52 @@ def test_hankel_around_infinity_anchor():
     assert validate_cycle(c, cy)
     rays = [p for p in cy.pieces if isinstance(p, DecayRay)]
     assert all(r.point is INFINITY for r in rays)
+
+
+def _point_on(piece, t):
+    if isinstance(piece, Line):
+        return piece.start + t * (piece.end - piece.start)
+    return piece.center + cmath.rect(piece.radius, piece.theta0 + t * (piece.theta1 - piece.theta0))
+
+
+def _segment_distance(z0, z1, a):
+    d = z1 - z0
+    t = ((a - z0) * d.conjugate()).real / abs(d) ** 2
+    return abs(z0 + min(1.0, max(0.0, t)) * d - a)
+
+
+WALK_POINTS = {as_scalar(0): 0j, as_scalar("1/2+1/5i"): complex(0.5, 0.2)}
+WALK_PIECES = [
+    Line(complex(-1, 0.01), complex(1, 0.01)),
+    Arc(center=0j, radius=0.5, theta0=0.0, theta1=2.0 * math.pi),
+    Arc(center=complex(1, 0), radius=0.9, theta0=2.0, theta1=4.5),
+]
+
+
+@pytest.mark.parametrize("piece", WALK_PIECES)
+def test_walk_chunks_tile_and_keep_clear(piece):
+    own = [p for p, a in WALK_POINTS.items() if isinstance(piece, Arc) and a == piece.center]
+    args = {p: cmath.phase(_point_on(piece, 0.0) - a) for p, a in WALK_POINTS.items()}
+    chunks = [(u0, u1) for u0, u1, _ in walk(piece, WALK_POINTS, args)]
+    assert chunks[0][0] == 0.0 and chunks[-1][1] == 1.0
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(chunks, chunks[1:]))
+    for u0, u1 in chunks:
+        assert u0 < u1
+        z0, z1 = _point_on(piece, u0), _point_on(piece, u1)
+        for p, a in WALK_POINTS.items():
+            if p not in own:
+                assert abs(z1 - z0) < 0.5 * _segment_distance(z0, z1, a)
+    # the walked args end on the branch continued to the piece's end
+    z_end = _point_on(piece, 1.0)
+    for p, a in WALK_POINTS.items():
+        assert math.remainder(args[p] - cmath.phase(z_end - a), 2.0 * math.pi) == pytest.approx(0.0, abs=1e-12)
+    for p in own:
+        assert args[p] - cmath.phase(_point_on(piece, 0.0)) == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+
+def test_thread_interior_turns_once_around_the_hankel_point():
+    c = gamma_connection(Fraction(1, 2))
+    (cy,) = candidate_basis(c)
+    loop_point = as_scalar(0)
+    final = thread_interior(c, cy)
+    assert final[loop_point] - cy.args_dict()[loop_point] == pytest.approx(2.0 * math.pi, abs=1e-12)

@@ -1,0 +1,61 @@
+"""Every module-level helper of the package is used somewhere.
+
+Walks the AST of src/ipd/*.py.  Each module-level function, class and
+constant, other than dunders and `main`, must be named at least once outside
+its own definition in src/, tests/, scripts/ or ipdbench/.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ipd"
+SEARCHED = ("src", "tests", "scripts", "ipdbench")
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for each module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _references(tree: ast.Module):
+    """(name, line) for each read of a name, attribute or imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_every_package_helper_is_used():
+    references: dict[str, list[tuple[Path, int]]] = {}
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for name, line in _references(tree):
+                references.setdefault(name, []).append((path, line))
+
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, node in _definitions(tree):
+            if name == "main" or (name.startswith("__") and name.endswith("__")):
+                continue
+            outside = [
+                (where, line)
+                for where, line in references.get(name, [])
+                if where != path or not node.lineno <= line <= node.end_lineno
+            ]
+            if not outside:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, "unused helpers: " + ", ".join(unused)

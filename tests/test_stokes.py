@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipd.connection import INFINITY
-from ipd.errors import InvalidAnchor, NotIrregular
+from ipd.errors import InputError, InvalidAnchor, NotIrregular
 from ipd.exact import GaussianRational, Rational, as_scalar
 from ipd.families import bessel_connection, gamma_connection, gaussian_connection
 from ipd.stokes import stokes_geometry, stokes_geometry_from_term
@@ -76,6 +76,12 @@ def test_regular_point_raises():
     c = gamma_connection(Fraction(1, 2))
     with pytest.raises(NotIrregular):
         stokes_geometry(c, as_scalar(0))
+
+
+def test_point_off_the_divisor_raises_input_error():
+    c = gamma_connection(Fraction(1, 2))
+    with pytest.raises(InputError):
+        stokes_geometry(c, as_scalar(7))
 
 
 def test_dual_flag_flips_sectors():
