@@ -4,7 +4,9 @@ A connection is determined by its rational 1-form alpha = f(z) dz.  The
 singular profile records, at every pole (and at infinity when the form has a
 pole there), the pole order m, the residue s, and the principal part of the
 local antiderivative of alpha, which drives both the Stokes geometry and the
-flat-section evaluation.
+flat-section evaluation.  One helper reads all three from alpha's principal
+part at the point, and the global antiderivative is assembled from the
+profile rather than from a second factorisation of alpha.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from .exact import (
     change_chart_infinity,
     differentiate,
     format_scalar,
+    p_monomial,
     p_pow_linear,
     parse_scalar,
     partial_fractions,
-    scalar_sort_key,
 )
 
 
@@ -113,16 +115,18 @@ def dualize(c: Connection) -> Connection:
     return Connection(alpha=-c.alpha, label=f"{c.label}.dual")
 
 
-def _principal_antiderivative(
-    terms: list[tuple[int, GaussianRational]]
-) -> tuple[tuple[int, GaussianRational], ...]:
-    """Integrate sum c_k w^-k (k >= 2) termwise: -> -c_k/(k-1) * w^-(k-1)."""
-    out = []
-    for k, c in terms:
-        if k >= 2:
-            out.append((k - 1, -c / as_scalar(k - 1)))
-    out.sort()
-    return tuple(out)
+def _point_data(location: Point, terms) -> SingularPointData:
+    """The local data at one point of D, read from the terms (k, c), meaning
+    c w^-k dw, of alpha's principal part there; the antiderivative of
+    c w^-k is -c/(k-1) w^-(k-1) for k >= 2."""
+    return SingularPointData(
+        location=location,
+        pole_order=max((k for k, _ in terms), default=0),
+        residue=next((coeff for k, coeff in terms if k == 1), ZERO),
+        exponential_part=tuple(
+            sorted((k - 1, -coeff / as_scalar(k - 1)) for k, coeff in terms if k >= 2)
+        ),
+    )
 
 
 @lru_cache(maxsize=256)
@@ -133,51 +137,17 @@ def singular_profile(c: Connection) -> tuple[SingularPointData, ...]:
     the chart change has a pole at w = 0.  For alpha = 0 the point at infinity
     is adjoined with m = 0 so that D is never empty.
     """
-    pf = partial_fractions(c.alpha)
     by_point: dict = {}
-    for a, k, coeff in pf.pole_terms:
+    for a, k, coeff in partial_fractions(c.alpha).pole_terms:
         by_point.setdefault(a, []).append((k, coeff))
-    entries = []
-    for a in sorted(by_point, key=scalar_sort_key):
-        terms = by_point[a]
-        m = max(k for k, _ in terms)
-        residue = next((coeff for k, coeff in terms if k == 1), ZERO)
-        entries.append(
-            SingularPointData(
-                location=a,
-                pole_order=m,
-                residue=residue,
-                exponential_part=_principal_antiderivative(terms),
-            )
-        )
+    entries = [_point_data(a, terms) for a, terms in by_point.items()]
     beta = change_chart_infinity(c.alpha)
-    m_inf = beta.pole_order_at(ZERO)
-    if m_inf > 0:
-        pf_inf = partial_fractions(beta)
-        terms_inf = [(k, coeff) for a, k, coeff in pf_inf.pole_terms if a == ZERO]
-        residue_inf = next((coeff for k, coeff in terms_inf if k == 1), ZERO)
-        entries.append(
-            SingularPointData(
-                location=INFINITY,
-                pole_order=m_inf,
-                residue=residue_inf,
-                exponential_part=_principal_antiderivative(terms_inf),
-            )
-        )
-    elif not entries:
-        # alpha has no poles at all, i.e. alpha = 0: adjoin infinity with m = 0
-        entries.append(
-            SingularPointData(
-                location=INFINITY, pole_order=0, residue=ZERO, exponential_part=()
-            )
-        )
-    profile = tuple(entries)
-    total = ZERO
-    for sp in profile:
-        total = total + sp.residue
-    if total:
+    if beta.pole_order_at(ZERO) > 0 or not entries:
+        terms = [(k, coeff) for a, k, coeff in partial_fractions(beta).pole_terms if a == ZERO]
+        entries.append(_point_data(INFINITY, terms))
+    if sum((sp.residue for sp in entries), ZERO):
         raise AssertionError("residues across D must sum to zero")
-    return profile
+    return tuple(entries)
 
 
 def finite_singular_points(c: Connection) -> dict[GaussianRational, complex]:
@@ -206,23 +176,25 @@ class GlobalAntiderivative:
 
 @lru_cache(maxsize=256)
 def global_antiderivative(c: Connection) -> GlobalAntiderivative:
-    """Integrate alpha exactly; log coefficients are the finite residues.
+    """Integrate alpha exactly: f_global sums the exponential parts over D,
+    each in its local coordinate, and the log coefficients are the nonzero
+    finite residues.
 
     Verifies d(f_global) + sum s_j dz/(z - a_j) == alpha before returning.
     """
-    pf = partial_fractions(c.alpha)
-    poly = list(pf.poly)
-    f = RationalFunction.from_coeffs(
-        [ZERO] + [poly[k] / as_scalar(k + 1) for k in range(len(poly))], (ONE,)
-    )
-    logs = []
-    for a, k, coeff in pf.pole_terms:
-        if k == 1:
-            logs.append((a, coeff))
-        else:
-            f = f + RationalFunction.from_coeffs(
-                (coeff / as_scalar(1 - k),), p_pow_linear(a, k - 1)
-            )
+    profile = singular_profile(c)
+    f = RationalFunction.zero()
+    for sp in profile:
+        for k, coeff in sp.exponential_part:
+            if sp.location is INFINITY:
+                f = f + RationalFunction.from_coeffs(p_monomial(k, coeff), (ONE,))
+            else:
+                f = f + RationalFunction.from_coeffs((coeff,), p_pow_linear(sp.location, k))
+    logs = [
+        (sp.location, sp.residue)
+        for sp in profile
+        if sp.location is not INFINITY and sp.residue
+    ]
     check = differentiate(f)
     for a, s in logs:
         check = check + RationalFunction.from_coeffs((s,), p_pow_linear(a, 1))

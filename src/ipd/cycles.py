@@ -35,7 +35,7 @@ from .connection import (
 )
 from .errors import BasisNotFound, InputError, InvalidAnchor, NotIrregular, SingularApproach
 from .homology import monodromy, rd_profile
-from .stokes import ANCHOR_MARGIN, StokesGeometry, stokes_geometry
+from .stokes import ANCHOR_MARGIN, stokes_geometry
 
 DELTA = 1e-4          # hard clearance between path pieces and singular points
 ENDPOINT_TOL = 1e-9   # chaining tolerance for consecutive piece endpoints
@@ -456,7 +456,7 @@ def _detour_radius(c: Connection, sp, finite_points) -> float:
     others = [abs(complex(sp.location) - complex(q)) for q in finite_points if q != sp.location]
     d_near = min(others) if others else math.inf
     r = min(d_near / 3.0, 0.25)
-    if sp.is_irregular and sp.exponential_part:
+    if sp.is_irregular:
         a, k = sp.leading_term()
         r_safe = (abs(complex(a)) / 2.0) ** (1.0 / k)
         if r_safe > r:
@@ -666,7 +666,7 @@ def candidate_basis(c: Connection) -> list[Cycle]:
     if target == 0:
         return []
     profile = singular_profile(c)
-    irregular = [sp for sp in profile if sp.is_irregular and sp.exponential_part]
+    irregular = [sp for sp in profile if sp.is_irregular]
     irregular.sort(key=lambda sp: point_key(sp.location))
     geoms = {sp.location: stokes_geometry(c, sp.location) for sp in irregular}
 

@@ -142,9 +142,10 @@ def _terms(pf: PartialFractionForm) -> dict:
     return out
 
 
-def decompose(rf: RationalFunction, coords: list[tuple]) -> list[GaussianRational]:
-    """Ambient coordinates of a rational function; InputError if it escapes."""
-    return _place(_terms(partial_fractions(rf)), _index(coords))
+def decompose(pf: PartialFractionForm, coords: list[tuple]) -> list[GaussianRational]:
+    """Ambient coordinates of a rational function, given by its partial
+    fractions; InputError if it escapes."""
+    return _place(_terms(pf), _index(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +495,11 @@ def h1_basis(
     raise LatticeTooSmall(f"no prime reduces the lattice of {c.label}: {failure}")
 
 
-def _form_orders(c: Connection, form: RationalFunction) -> dict[Point, int]:
-    """Pole orders of form*dz at the points of D; InputError off-divisor."""
-    profile = singular_profile(c)
+def _form_orders(profile, pf: PartialFractionForm) -> dict[Point, int]:
+    """Pole orders at the points of D of the form with partial fractions pf;
+    InputError off-divisor.  At infinity z^n dz has order n + 2 and
+    (z-a)^-1 dz order 1, while (z-a)^-k dz is holomorphic for k >= 2."""
     locations = {sp.location for sp in profile}
-    pf = partial_fractions(form)
     orders: dict[Point, int] = {}
     for a, k, coeff in pf.pole_terms:
         if a not in locations:
@@ -506,7 +507,8 @@ def _form_orders(c: Connection, form: RationalFunction) -> dict[Point, int]:
                 f"form has a pole at {point_str(a)} off the singular divisor"
             )
         orders[a] = max(orders.get(a, 0), k)
-    inf_order = form.pole_order_at_infinity() + 2
+    residues = sum((coeff for _, k, coeff in pf.pole_terms if k == 1), ZERO)
+    inf_order = len(pf.poly) + 1 if pf.poly else int(bool(residues))
     if inf_order > 0:
         if INFINITY not in locations:
             raise InputError("form has a pole at infinity off the singular divisor")
@@ -524,7 +526,8 @@ def reduce_form(
     """
     profile = singular_profile(c)
     bounds = basis.bounds_dict()
-    for p, order in _form_orders(c, form).items():
+    pf = partial_fractions(form)
+    for p, order in _form_orders(profile, pf).items():
         need = order - max(profile_at(c, p).pole_order, 1)
         if need > bounds[p]:
             bounds[p] = need
@@ -533,8 +536,8 @@ def reduce_form(
     image_cols = nabla_columns(
         partial_fractions(c.alpha), sec.ambient(), form_coords
     )
-    target = decompose(form, form_coords)
-    basis_cols = [decompose(b, form_coords) for b in basis.basis]
+    target = decompose(pf, form_coords)
+    basis_cols = [decompose(partial_fractions(b), form_coords) for b in basis.basis]
     columns = image_cols + basis_cols
     rows = [[col[r] for col in columns] for r in range(len(form_coords))]
     x = solve(rows, target)

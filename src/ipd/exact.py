@@ -12,7 +12,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InputError, IrreducibleDenominator
@@ -404,14 +404,8 @@ def _integerize(p) -> list[tuple[int, int]]:
     lcm = 1
     for c in p:
         for q in (c.re, c.im):
-            lcm = lcm * q.denominator // _gcd_int(lcm, q.denominator)
+            lcm = lcm * q.denominator // gcd(lcm, q.denominator)
     return [(int(c.re * lcm), int(c.im * lcm)) for c in p]
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def factor_roots(den) -> dict[GaussianRational, int]:

@@ -6,8 +6,6 @@ document. Deterministic for a fixed input and seed: wall-clock data is never
 included.
 """
 
-from typing import Optional
-
 from . import __version__
 from .connection import Connection, connection_to_json, point_str, singular_profile
 from .cycles import candidate_basis, cycle_to_json

@@ -97,7 +97,7 @@ def stokes_geometry(c: Connection, p: Point, dual: bool = True) -> StokesGeometr
     pattern is then governed by the monodromy exponent, not by sectors.
     """
     sp = profile_at(c, p)
-    if not sp.is_irregular or not sp.exponential_part:
+    if not sp.is_irregular:
         raise NotIrregular(
             f"{point_str(p)} has pole order {sp.pole_order}; no Stokes rays"
         )

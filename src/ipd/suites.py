@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .connection import Connection, singular_profile
+from .connection import singular_profile
 from .corpus import connection_corpus, random_lattice_section
 from .cycles import build_cycle, candidate_basis, jitter_waypoints
-from .derham import euler_characteristics, h0_dimension, h1_basis, nabla_applied
+from .derham import euler_characteristics, h1_basis, nabla_applied
 from .errors import InputError
 from .exact import GaussianRational, Rational, as_scalar
 from .families import bessel_connection, gamma_connection, gaussian_connection

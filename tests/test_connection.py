@@ -66,6 +66,22 @@ def test_residues_sum_to_zero_on_corpus():
         assert total == as_scalar(0)
 
 
+def test_exponential_part_is_nonempty_exactly_when_irregular():
+    """cycles and stokes read is_irregular alone as having an exponential part."""
+    conns = [
+        gaussian_connection(),
+        gamma_connection(Fraction(1, 3)),
+        bessel_connection(Fraction(5, 2)),
+        bessel_connection(Fraction(1), Fraction(2)),
+        canonicalize(rf([0], [1])),
+    ]
+    for seed in (0, 1, 2):
+        conns += connection_corpus(100, seed)
+    for c in conns:
+        for sp in singular_profile(c):
+            assert bool(sp.exponential_part) == sp.is_irregular, c.label
+
+
 def test_dualize_is_involution():
     for c in connection_corpus(8, seed=5):
         dd = dualize(dualize(c))

@@ -75,6 +75,17 @@ def test_reduce_form_rejects_off_divisor_pole():
         reduce_form(c, b, rf([1], [-3, 1]))
 
 
+def test_reduce_form_reads_the_order_at_infinity():
+    # alpha = dz/z - dz/(z-1) is regular at infinity, so D = {0, 1}
+    c = canonicalize(rf([1], [0, 1]) - rf([1], [-1, 1]), label="log pair")
+    b = h1_basis(c)
+    assert reduce_form(c, b, RationalFunction.zero()) == [as_scalar(0)]
+    assert len(reduce_form(c, b, rf([1], [0, 0, 1]))) == 1  # dz/z^2: O(1) dw
+    for form in (rf([0, 1], [1]), rf([1], [0, 1])):  # z dz and dz/z
+        with pytest.raises(InputError, match="infinity"):
+            reduce_form(c, b, form)
+
+
 def test_exact_forms_reduce_to_zero():
     rng = random.Random(11)
     for c in (gaussian_connection(), bessel_connection(Fraction(1))):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ipd import linalg, report
+from ipd import connection, derham, linalg, report
 from ipd.connection import INFINITY, canonicalize, load_connection, singular_profile
 from ipd.corpus import connection_corpus
 from ipd.derham import (
@@ -49,7 +49,9 @@ def test_closed_form_columns_match_rational_function_path():
         alpha = partial_fractions(c.alpha)
         columns = nabla_columns(alpha, sec_coords, form_coords)
         for coord, col in zip(sec_coords, columns):
-            expected = decompose(nabla_applied(c, element_function(coord)), form_coords)
+            expected = decompose(
+                partial_fractions(nabla_applied(c, element_function(coord))), form_coords
+            )
             assert col == expected, (c.label, coord)
         inf = [sp for sp in profile if sp.location is INFINITY]
         if inf and inf[0].pole_order >= 1:
@@ -140,13 +142,28 @@ def test_small_prime_never_gives_a_different_answer(monkeypatch):
 
 
 def test_report_computes_the_basis_once(monkeypatch):
+    """One report runs h1_basis once, and factors alpha once in
+    singular_profile and once in h1_basis (not in global_antiderivative)."""
+    c = gaussian_connection()
     calls = []
+    factored = {"connection": 0, "derham": 0}
 
     def counted(c, *args, **kwargs):
         calls.append(c)
         return h1_basis(c, *args, **kwargs)
 
+    def counted_in(name):
+        def counted_pf(r):
+            factored[name] += r == c.alpha
+            return partial_fractions(r)
+        return counted_pf
+
     monkeypatch.setattr(report, "h1_basis", counted)
-    doc = report.generate_report(gaussian_connection())
+    monkeypatch.setattr(connection, "partial_fractions", counted_in("connection"))
+    monkeypatch.setattr(derham, "partial_fractions", counted_in("derham"))
+    connection.singular_profile.cache_clear()
+    connection.global_antiderivative.cache_clear()
+    doc = report.generate_report(c)
     assert len(calls) == 1
     assert doc["dims"]["basis"] == ["1"]
+    assert factored == {"connection": 1, "derham": 1}

@@ -1,8 +1,10 @@
-"""Every module-level helper of the package is used somewhere.
+"""Every module-level helper and import of the package is used somewhere.
 
 Walks the AST of src/ipd/*.py.  Each module-level function, class and
 constant, other than dunders and `main`, must be named at least once outside
-its own definition in src/, tests/, scripts/ or ipdbench/.
+its own definition in src/, tests/, scripts/ or ipdbench/.  Each module-level
+import, other than `from __future__` and the re-exports that `__init__.py`
+lists in `__all__`, must be read by its own module.
 """
 
 import ast
@@ -59,3 +61,38 @@ def test_every_package_helper_is_used():
             if not outside:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "unused helpers: " + ", ".join(unused)
+
+
+def _imported_names(tree: ast.Module):
+    """(bound name, line) for each module-level import, __future__ aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_package_import_is_read():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        exported = _exported(tree)
+        for name, line in _imported_names(tree):
+            if name not in reads and name not in exported:
+                unused.append(f"{path.name}:{line} {name}")
+    assert not unused, "unused imports: " + ", ".join(unused)
