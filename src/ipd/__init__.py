@@ -16,12 +16,12 @@ from .connection import (
     dualize,
     singular_profile,
 )
-from .cycles import build_cycle, candidate_basis, load_cycles, save_cycles, validate_cycle
+from .cycles import candidate_basis, load_cycles, save_cycles, validate_cycle
 from .derham import euler_characteristics, h0_dimension, h1_basis, reduce_form
 from .errors import IpdError
 from .exact import GaussianRational, RationalFunction, as_scalar, parse_scalar
 from .families import bessel_connection, gamma_connection, gaussian_connection
-from .homology import local_system_homology, monodromy, rd_profile
+from .homology import rd_profile
 from .oracles import reference_oracle
 from .quadrature import (
     flat_section_eval,
@@ -41,7 +41,6 @@ __all__ = [
     "RationalFunction",
     "as_scalar",
     "bessel_connection",
-    "build_cycle",
     "candidate_basis",
     "canonicalize",
     "connection_from_json",
@@ -55,8 +54,6 @@ __all__ = [
     "h1_basis",
     "integrate_cycle",
     "load_cycles",
-    "local_system_homology",
-    "monodromy",
     "parametric_derivative_period",
     "parse_scalar",
     "period_matrix",

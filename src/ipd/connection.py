@@ -73,9 +73,11 @@ def parse_point(text: str) -> Point:
 class SingularPointData:
     """Local data at one point of the singular divisor D.
 
-    exponential_part lists (k, c) meaning c * w^-k where w is the local
-    coordinate (z - a at a finite point, 1/z at infinity).  It is nonempty
-    exactly when pole_order >= 2.
+    The residue s is the monodromy exponent of the dual local system: its
+    monodromy about the point is exp(2*pi*i*s), trivial iff s is a rational
+    integer.  exponential_part lists (k, c) meaning c * w^-k where w is the
+    local coordinate (z - a at a finite point, 1/z at infinity).  It is
+    nonempty exactly when pole_order >= 2.
     """
 
     location: Point
@@ -218,6 +220,8 @@ def connection_to_json(c: Connection) -> dict:
 
 
 def connection_from_json(doc: dict) -> Connection:
+    if not isinstance(doc, dict):
+        raise InputError("connection document must be a JSON object")
     try:
         label = doc.get("label", "connection")
         alpha = doc["alpha"]

@@ -33,8 +33,8 @@ from .connection import (
     read_json,
     singular_profile,
 )
-from .errors import BasisNotFound, InputError, InvalidAnchor, NotIrregular, SingularApproach
-from .homology import monodromy, rd_profile
+from .errors import BasisNotFound, InputError, NotIrregular, SingularApproach
+from .homology import rd_profile
 from .stokes import ANCHOR_MARGIN, stokes_geometry
 
 DELTA = 1e-4          # hard clearance between path pieces and singular points
@@ -258,16 +258,13 @@ class ValidityReport:
     valid: bool
     reason: Optional[str]
     closed: bool
-    relative: bool
-    min_clearance: float
-    branch_defects: tuple[tuple[Point, float], ...] = ()
 
     def __bool__(self) -> bool:
         return self.valid
 
 
 def _fail(reason: str, closed=False) -> ValidityReport:
-    return ValidityReport(False, reason, closed, False, 0.0)
+    return ValidityReport(False, reason, closed)
 
 
 def _piece_clearance(piece: Piece, a: complex) -> float:
@@ -375,9 +372,7 @@ def validate_cycle(c: Connection, cy: Cycle, delta: float = DELTA) -> ValidityRe
             )
 
     # clearance
-    min_clear = math.inf
     for i, p, d in clearances(c, cy):
-        min_clear = min(min_clear, d)
         if d < delta:
             return _fail(f"piece {i} passes within {d:.2e} of {point_str(p)}")
 
@@ -388,12 +383,10 @@ def validate_cycle(c: Connection, cy: Cycle, delta: float = DELTA) -> ValidityRe
         return _fail(str(exc), closed=closed)
     except InputError as exc:
         return _fail(str(exc), closed=closed)
-    defects = []
-    relative = starts_open
     if closed:
         base = cy.args_dict()
-        mono = monodromy(c, dual=True)
-        for (p, e) in mono.exponents:
+        for sp in singular_profile(c):
+            p = sp.location
             if p is INFINITY:
                 continue
             defect = final_args[p] - base[p]
@@ -404,8 +397,7 @@ def validate_cycle(c: Connection, cy: Cycle, delta: float = DELTA) -> ValidityRe
                     closed=True,
                 )
             if winding:
-                defects.append((p, defect))
-                scaled = e * winding
+                scaled = sp.residue * winding
                 if not scaled.is_integer():
                     return _fail(
                         f"closed cycle winds {winding}x around {point_str(p)} "
@@ -414,7 +406,6 @@ def validate_cycle(c: Connection, cy: Cycle, delta: float = DELTA) -> ValidityRe
                     )
     else:
         last = cy.pieces[-1]
-        first = cy.pieces[0]
         if (
             isinstance(last, DecayRay)
             and last.point is not INFINITY
@@ -427,25 +418,8 @@ def validate_cycle(c: Connection, cy: Cycle, delta: float = DELTA) -> ValidityRe
                     "incoming ray direction disagrees with the threaded arg "
                     f"at {point_str(last.point)} by {residue:.3f}"
                 )
-        if (
-            isinstance(first, DecayRay)
-            and isinstance(last, DecayRay)
-            and first.point == last.point
-        ):
-            base = cy.args_dict()
-            for p in final_args:
-                d = final_args[p] - base[p]
-                if abs(d) > 1e-9:
-                    defects.append((p, d))
 
-    return ValidityReport(
-        valid=True,
-        reason=None,
-        closed=closed,
-        relative=relative,
-        min_clearance=min_clear,
-        branch_defects=tuple(defects),
-    )
+    return ValidityReport(valid=True, reason=None, closed=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -622,34 +596,6 @@ def build_hankel(
     return make_cycle(c, name, [ray_in, *inward, loop, *outward, ray_out])
 
 
-def build_cycle(c: Connection, kind: str, **params) -> Cycle:
-    """Dispatch: kind in {ray_pair, circle, hankel, custom}."""
-    if kind == "ray_pair":
-        return build_ray_pair(
-            c, params["start"], params["end"], params.get("label")
-        )
-    if kind == "circle":
-        return build_circle(c, params["point"], params.get("radius"), params.get("label"))
-    if kind == "hankel":
-        return build_hankel(
-            c,
-            params["around"],
-            params["anchor_point"],
-            params.get("direction"),
-            params.get("radius", 1e-2),
-            params.get("label"),
-        )
-    if kind == "custom":
-        return make_cycle(
-            c,
-            params.get("label", "custom"),
-            params["pieces"],
-            params.get("base_args"),
-            params.get("orientation", 1),
-        )
-    raise InputError(f"unknown cycle kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # candidate basis
 
@@ -675,7 +621,7 @@ def candidate_basis(c: Connection) -> list[Cycle]:
     def try_add(maker):
         try:
             cy = maker()
-        except (BasisNotFound, InvalidAnchor, NotIrregular, SingularApproach):
+        except (BasisNotFound, NotIrregular, SingularApproach):
             return
         if validate_cycle(c, cy):
             candidates.append(cy)
@@ -700,17 +646,16 @@ def candidate_basis(c: Connection) -> list[Cycle]:
                         lambda a=(p, th_p), b=(q, th_q): build_ray_pair(c, a, b)
                     )
 
-    mono = monodromy(c, dual=True)
     for sp in irregular:
         if sp.location is INFINITY:
             continue
-        if mono.is_trivial_at(sp.location):
+        if sp.residue.is_integer():
             try_add(lambda s=sp: build_circle(c, s.location))
 
     for sp in profile:
         if sp.location is INFINITY or sp.is_irregular:
             continue
-        if not mono.is_trivial_at(sp.location):
+        if not sp.residue.is_integer():
             anchors = [s.location for s in irregular]
             if not anchors:
                 continue
@@ -817,9 +762,10 @@ def cycle_to_json(cy: Cycle) -> dict:
 def cycle_from_json(d: dict) -> Cycle:
     try:
         pieces = tuple(piece_from_json(p) for p in d["pieces"])
-        base_args = tuple(
-            (parse_point(k), float(v)) for k, v in d.get("base_args", {}).items()
-        )
+        args = d.get("base_args", {})
+        if not isinstance(args, dict):
+            raise InputError("cycle base_args must be a JSON object")
+        base_args = tuple((parse_point(k), float(v)) for k, v in args.items())
         return Cycle(
             label=str(d.get("label", "cycle")),
             pieces=pieces,

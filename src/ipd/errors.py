@@ -17,20 +17,8 @@ class InconsistentRank(IpdError):
     """Per-point block dimensions do not sum to the stated rank."""
 
 
-class InconsistentMonodromy(IpdError):
-    """Monodromy multipliers whose product is not 1."""
-
-
-class NonIntegralDimension(IpdError):
-    """A dimension formula produced a non-integer where an integer is required."""
-
-
 class NotIrregular(IpdError):
     """Stokes data requested at a point with pole order <= 1."""
-
-
-class InvalidAnchor(IpdError):
-    """A requested decay-ray direction is not inside a decay sector."""
 
 
 class BasisNotFound(IpdError):

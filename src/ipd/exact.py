@@ -77,9 +77,6 @@ class GaussianRational:
     def __rtruediv__(self, other) -> "GaussianRational":
         return as_scalar(other) / self
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -114,6 +111,8 @@ _TOKEN_RE = _re.compile(r"[+-]?[^+-]+")
 
 def parse_scalar(text: str) -> GaussianRational:
     """Parse scalar text like "1/2", "-3+1/4i", "i", "2-i", "-7/3i"."""
+    if not isinstance(text, str):
+        raise InputError(f"scalar {text!r} must be given as text")
     s = text.strip().replace(" ", "")
     if not s:
         raise InputError("empty scalar text")
@@ -490,18 +489,11 @@ class RationalFunction:
         return RationalFunction(n, d)
 
     @staticmethod
-    def constant(c) -> "RationalFunction":
-        return RationalFunction.from_coeffs([as_scalar(c)], [ONE])
-
-    @staticmethod
     def zero() -> "RationalFunction":
         return RationalFunction((), (ONE,))
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def is_constant(self) -> bool:
-        return p_degree(self.num) <= 0 and p_degree(self.den) == 0
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.from_coeffs(
@@ -530,13 +522,6 @@ class RationalFunction:
     def scale(self, s) -> "RationalFunction":
         return RationalFunction.from_coeffs(p_scale(self.num, as_scalar(s)), self.den)
 
-    def eval_exact(self, x) -> GaussianRational:
-        x = as_scalar(x)
-        d = p_eval(self.den, x)
-        if not d:
-            raise ZeroDivisionError("evaluation at a pole")
-        return p_eval(self.num, x) / d
-
     def eval_complex(self, z: complex) -> complex:
         return p_eval_complex(self.num, z) / p_eval_complex(self.den, z)
 
@@ -561,12 +546,6 @@ class RationalFunction:
                 break
             n, nm = q, nm + 1
         return dm - nm
-
-    def pole_order_at_infinity(self) -> int:
-        """deg(num) - deg(den); negative values mean a zero at infinity."""
-        if self.is_zero():
-            return 0
-        return p_degree(self.num) - p_degree(self.den)
 
     def __str__(self) -> str:
         return format_rational(self)

@@ -57,13 +57,12 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.41795918367346
 
 
 class _SectionContext:
-    """Precomputed data for evaluating the (dual) flat section."""
+    """Precomputed data for evaluating the dual flat section."""
 
-    def __init__(self, c: Connection, dual: bool = True):
+    def __init__(self, c: Connection):
         self.connection = c
         anti = global_antiderivative(c)
         self.f = anti.f_global
-        self.sign = 1.0 if dual else -1.0
         self.log_terms = [
             (p, complex(p), complex(s)) for p, s in anti.log_terms
         ]
@@ -73,7 +72,6 @@ class _SectionContext:
         w = complex(self.f.eval_complex(z))
         for p, a, s in self.log_terms:
             w += s * complex(math.log(abs(z - a)), args[p])
-        w *= self.sign
         if w.real > EXP_CAP:
             raise SingularApproach(
                 "flat section overflow: the path crosses a growth region"
@@ -81,11 +79,10 @@ class _SectionContext:
         return cmath.exp(w)
 
 
-def flat_section_eval(
-    c: Connection, z: complex, args: Optional[dict] = None, dual: bool = True
-) -> complex:
-    """Evaluate the flat section at z with given (or principal) log branches."""
-    ctx = _SectionContext(c, dual)
+def flat_section_eval(c: Connection, z: complex, args: Optional[dict] = None) -> complex:
+    """Evaluate the dual flat section exp(+integral alpha) at z with given (or
+    principal) log branches; `dualize(c)` gives the connection's own section."""
+    ctx = _SectionContext(c)
     if args is None:
         args = {p: cmath.phase(z - a) for p, a, _ in ctx.log_terms}
     return ctx.section(z, args)
@@ -312,7 +309,7 @@ def integrate_cycle(
     singular point raises SingularApproach.  Failure to meet the tolerance
     is reported through converged=False, not an exception.
     """
-    ctx = _SectionContext(c, dual=True)
+    ctx = _SectionContext(c)
     for i, _, d in clearances(c, cy):
         if d < delta:
             raise SingularApproach(
@@ -346,12 +343,6 @@ class PeriodMatrix:
     rank: int
     determinant: Optional[complex]
     scale: float
-    threshold: float
-
-    def values(self) -> np.ndarray:
-        return np.array(
-            [[e.value for e in row] for row in self.entries], dtype=complex
-        )
 
 
 def period_matrix(
@@ -371,7 +362,7 @@ def period_matrix(
         for cy in cycles
     )
     if not entries or not basis.basis:
-        return PeriodMatrix(entries, 0, None, 0.0, 0.0)
+        return PeriodMatrix(entries, 0, None, 0.0)
     m = np.array([[e.value for e in row] for row in entries], dtype=complex)
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     threshold = rank_tol * scale
@@ -382,7 +373,7 @@ def period_matrix(
         diag = np.abs(np.diag(r))
         rank = int(np.sum(diag > threshold))
     det = complex(np.linalg.det(m)) if m.shape[0] == m.shape[1] else None
-    return PeriodMatrix(entries, rank, det, scale, threshold)
+    return PeriodMatrix(entries, rank, det, scale)
 
 
 def parametric_derivative_period(

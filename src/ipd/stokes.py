@@ -2,10 +2,13 @@
 
 All angles are directions in the local coordinate centered at the point
 (z - p at a finite point, w = 1/z at infinity; a w-direction theta at
-infinity is the z-direction -theta).  If the flat section behaves like
-exp(a * w^-k) to leading order, it decays along direction theta exactly
-when cos(arg(a) - k*theta) < 0, giving k open decay sectors of width pi/k
-separated by 2k Stokes rays on which the exponential merely oscillates.
+infinity is the z-direction -theta).  The section is always the dual flat
+section exp(+integral alpha), the one rapid-decay cycles pair with; the
+connection's own flat section is the dual section of `dualize(c)`.  If it
+behaves like exp(a * w^-k) to leading order, it decays along direction
+theta exactly when cos(arg(a) - k*theta) < 0, giving k open decay sectors
+of width pi/k separated by 2k Stokes rays on which the exponential merely
+oscillates.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .connection import Connection, Point, point_str, profile_at
-from .errors import InvalidAnchor, NotIrregular
+from .errors import NotIrregular
 
 TWO_PI = 2.0 * math.pi
 ANCHOR_MARGIN = 1e-6
@@ -34,12 +37,8 @@ class StokesGeometry:
 
     point: Point
     exponential_degree: int
-    leading_argument: float
     rays: tuple[float, ...]
     decay_sectors: tuple[tuple[float, float], ...]
-
-    def sector_width(self) -> float:
-        return math.pi / self.exponential_degree
 
     def bisectors(self) -> tuple[float, ...]:
         return tuple(_norm_angle(0.5 * (lo + hi)) for lo, hi in self.decay_sectors)
@@ -55,15 +54,6 @@ class StokesGeometry:
             if margin <= off <= (hi - lo) - margin:
                 return i
         return None
-
-    def require_decay_direction(self, theta: float) -> int:
-        idx = self.sector_containing(theta)
-        if idx is None:
-            raise InvalidAnchor(
-                f"direction {theta:.6f} at {point_str(self.point)} is not "
-                "inside a decay sector"
-            )
-        return idx
 
 
 def _geometry_from_leading(
@@ -84,14 +74,13 @@ def _geometry_from_leading(
     return StokesGeometry(
         point=p,
         exponential_degree=k,
-        leading_argument=a_arg,
         rays=tuple(rays),
         decay_sectors=tuple(sectors),
     )
 
 
-def stokes_geometry(c: Connection, p: Point, dual: bool = True) -> StokesGeometry:
-    """Stokes rays and decay sectors of the (dual) flat section at p.
+def stokes_geometry(c: Connection, p: Point) -> StokesGeometry:
+    """Stokes rays and decay sectors of the dual flat section at p.
 
     Raises NotIrregular when the point has pole order <= 1, since the decay
     pattern is then governed by the monodromy exponent, not by sectors.
@@ -102,8 +91,6 @@ def stokes_geometry(c: Connection, p: Point, dual: bool = True) -> StokesGeometr
             f"{point_str(p)} has pole order {sp.pole_order}; no Stokes rays"
         )
     a, k = sp.leading_term()
-    if not dual:
-        a = -a
     return _geometry_from_leading(p, cmath.phase(complex(a)), k)
 
 

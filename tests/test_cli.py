@@ -122,6 +122,19 @@ def test_input_errors_exit_two(conn_file, capsys, tmp_path):
     zero_den.write_text(json.dumps({"label": "x", "alpha": {"num": ["1"], "den": ["0"]}}))
     code, _, err = run_cli(capsys, "dims", str(zero_den))
     assert code == 2
+    numeric = tmp_path / "numeric.json"
+    numeric.write_text(json.dumps({"label": "x", "alpha": {"num": [1], "den": ["1"]}}))
+    code, _, err = run_cli(capsys, "dims", str(numeric))
+    assert code == 2 and err.startswith("error: ")
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([connection_to_json(gaussian_connection())]))
+    code, _, err = run_cli(capsys, "dims", str(listed))
+    assert code == 2 and err.startswith("error: ")
+    cycles = tmp_path / "cycles.json"
+    cycles.write_text(json.dumps([{"pieces": [], "base_args": []}]))
+    path = conn_file("gaussian", gaussian_connection())
+    code, _, err = run_cli(capsys, "periods", path, "--cycles", str(cycles))
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_analyze_deterministic(conn_file, capsys):

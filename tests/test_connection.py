@@ -101,7 +101,7 @@ def test_global_antiderivative_reassembles_alpha():
         ga = global_antiderivative(c)
         rebuilt = differentiate(ga.f_global)
         for point, s in ga.log_terms:
-            rebuilt = rebuilt + RationalFunction.constant(s) / rf([-point, as_scalar(1)], [1])
+            rebuilt = rebuilt + rf([s], [1]) / rf([-point, as_scalar(1)], [1])
         assert (rebuilt - c.alpha).is_zero()
 
 

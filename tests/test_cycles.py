@@ -12,7 +12,8 @@ from ipd.cycles import (
     Cycle,
     DecayRay,
     Line,
-    build_cycle,
+    build_circle,
+    build_hankel,
     candidate_basis,
     cycle_from_json,
     cycle_to_json,
@@ -61,7 +62,7 @@ def test_bessel_candidates_cover_h1():
 
 def test_circle_requires_trivial_monodromy():
     c = gamma_connection(Fraction(1, 2))
-    cy = build_cycle(c, "circle", point=as_scalar(0), radius=0.5)
+    cy = build_circle(c, as_scalar(0), radius=0.5)
     report = validate_cycle(c, cy)
     assert not report.valid
     assert "Hankel" in report.reason
@@ -92,7 +93,7 @@ def test_closed_loop_winding_must_be_integral():
     # closed circle around a fractional-residue point is rejected,
     # around an integer-residue point it passes
     c_ok = bessel_connection(Fraction(1))
-    cy = build_cycle(c_ok, "circle", point=as_scalar(0), radius=1.0)
+    cy = build_circle(c_ok, as_scalar(0), radius=1.0)
     assert validate_cycle(c_ok, cy)
 
 
@@ -134,15 +135,9 @@ def test_jitter_keeps_validity():
         assert validate_cycle(c, moved)
 
 
-def test_build_cycle_dispatch_errors():
-    c = gaussian_connection()
-    with pytest.raises(InputError):
-        build_cycle(c, "pentagon")
-
-
 def test_hankel_around_infinity_anchor():
     c = gamma_connection(Fraction(1, 3))
-    cy = build_cycle(c, "hankel", around=as_scalar(0), anchor_point=INFINITY, radius=1e-2)
+    cy = build_hankel(c, as_scalar(0), INFINITY, radius=1e-2)
     assert validate_cycle(c, cy)
     rays = [p for p in cy.pieces if isinstance(p, DecayRay)]
     assert all(r.point is INFINITY for r in rays)

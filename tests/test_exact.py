@@ -45,7 +45,7 @@ def test_scalar_field_axioms(a, b):
     assert a * b == b * a
     if b:
         assert (a / b) * b == a
-    assert a * a.conjugate() == GaussianRational(
+    assert a * GaussianRational(a.re, -a.im) == GaussianRational(
         Rational(a.re * a.re + a.im * a.im), Rational(0)
     )
 
@@ -65,9 +65,9 @@ def test_parse_scalar_rejects_garbage(text):
 def test_rational_function_arithmetic():
     f = rf([1], [0, 1])          # 1/z
     g = rf([0, 1], [1])          # z
-    assert (f * g).is_constant()
+    assert (f * g - rf([1], [1])).is_zero()
     h = f + g                    # (1 + z^2)/z
-    assert h.eval_exact(as_scalar(2)) == parse_scalar("5/2")
+    assert (h - rf([1, 0, 1], [0, 1])).is_zero()
     assert (h - g - f).is_zero()
 
 
@@ -75,9 +75,10 @@ def test_pole_orders():
     f = rf([1], [0, 0, 1])       # 1/z^2
     assert f.pole_order_at(as_scalar(0)) == 2
     assert f.pole_order_at(as_scalar(1)) == 0
-    assert f.pole_order_at_infinity() == -2
+    # the 1-form f dz has order deg(num) - deg(den) + 2 at infinity
+    assert change_chart_infinity(f).pole_order_at(as_scalar(0)) == 0
     g = rf([0, 0, 0, 1], [1])    # z^3
-    assert g.pole_order_at_infinity() == 3
+    assert change_chart_infinity(g).pole_order_at(as_scalar(0)) == 5
 
 
 @given(st.lists(small_ints, min_size=1, max_size=4), st.lists(small_ints, min_size=1, max_size=3))

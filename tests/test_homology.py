@@ -1,19 +1,11 @@
 from fractions import Fraction
 
-import pytest
-
 from ipd.connection import INFINITY, canonicalize, point_str, singular_profile
 from ipd.corpus import connection_corpus
 from ipd.derham import h1_basis
-from ipd.errors import NonIntegralDimension
 from ipd.exact import RationalFunction, as_scalar
 from ipd.families import bessel_connection, gamma_connection, gaussian_connection
-from ipd.homology import (
-    local_system_homology,
-    monodromy,
-    rd_profile,
-    require_integer,
-)
+from ipd.homology import rd_profile
 
 
 def rf(num, den):
@@ -46,33 +38,30 @@ def test_gaussian_rd_profile():
 
 
 def test_dual_monodromy_exponents():
-    mono = monodromy(gamma_connection(Fraction(1, 3)))
-    exps = {point_str(p): e for p, e in mono.exponents}
+    profile = singular_profile(gamma_connection(Fraction(1, 3)))
+    exps = {point_str(sp.location): sp.residue for sp in profile}
     # dual section carries exp(+integral alpha): exponent at 0 is +1/3
     assert exps["0"] == as_scalar(Fraction(1, 3))
     assert exps["inf"] == as_scalar(Fraction(-1, 3))
-    assert not mono.is_trivial_at(as_scalar(0))
-    assert not mono.all_trivial()
+    assert not any(sp.residue.is_integer() for sp in profile)
 
 
 def test_monodromy_trivial_iff_integer_exponents():
-    mono = monodromy(bessel_connection(Fraction(1)))
-    assert mono.all_trivial()
-    h = local_system_homology(mono)
+    c = bessel_connection(Fraction(1))
+    assert all(sp.residue.is_integer() for sp in singular_profile(c))
+    prof = rd_profile(c)
     # trivial local system on a 2-punctured line
-    assert (h.h0, h.h1) == (1, 1)
+    assert (prof.h0_open, prof.h1_open) == (1, 1)
 
 
 def test_local_system_homology_nontrivial():
-    mono = monodromy(gamma_connection(Fraction(1, 2)))
-    h = local_system_homology(mono)
-    assert (h.h0, h.h1) == (0, 0)
+    prof = rd_profile(gamma_connection(Fraction(1, 2)))
+    assert (prof.h0_open, prof.h1_open) == (0, 0)
 
 
 def test_exponents_sum_to_zero_on_corpus():
     for c in connection_corpus(15, seed=21):
-        mono = monodromy(c)
-        total = sum((e for _, e in mono.exponents), as_scalar(0))
+        total = sum((sp.residue for sp in singular_profile(c)), as_scalar(0))
         assert total == as_scalar(0)
 
 
@@ -96,8 +85,3 @@ def test_duality_on_small_corpus():
         assert b.h1_dim == prof.h1_rd, c.label
         assert b.h0_dim == prof.h0_rd, c.label
 
-
-def test_require_integer():
-    assert require_integer(Fraction(4, 2), "dim") == 2
-    with pytest.raises(NonIntegralDimension):
-        require_integer(Fraction(1, 2), "dim")

@@ -1,10 +1,13 @@
-"""Every module-level helper and import of the package is used somewhere.
+"""Every module-level helper, method and import of the package is used.
 
 Walks the AST of src/ipd/*.py.  Each module-level function, class and
 constant, other than dunders and `main`, must be named at least once outside
-its own definition in src/, tests/, scripts/ or ipdbench/.  Each module-level
-import, other than `from __future__` and the re-exports that `__init__.py`
-lists in `__all__`, must be read by its own module.
+its own definition in src/, tests/, scripts/ or ipdbench/.  Each method
+defined in a class body, other than dunders, must be named outside its own
+definition in src/, scripts/ or ipdbench/: a method that only tests call
+tests nothing but itself, unless TEST_REFERENCES says why a test needs it.
+Each module-level import, other than `from __future__` and the re-exports
+that `__init__.py` lists in `__all__`, must be read by its own module.
 """
 
 import ast
@@ -13,6 +16,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ipd"
 SEARCHED = ("src", "tests", "scripts", "ipdbench")
+PRODUCTION = ("src", "scripts", "ipdbench")
+
+# Class.method -> why a method that only tests name still belongs
+TEST_REFERENCES = {
+    "PartialFractionForm.assemble": "inverse of partial_fractions in its round-trip test",
+}
 
 
 def _definitions(tree: ast.Module):
@@ -39,28 +48,65 @@ def _references(tree: ast.Module):
                 yield alias.name, node.lineno
 
 
-def test_every_package_helper_is_used():
+def _reference_index(tops) -> dict[str, list[tuple[Path, int]]]:
     references: dict[str, list[tuple[Path, int]]] = {}
-    for top in SEARCHED:
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             for name, line in _references(tree):
                 references.setdefault(name, []).append((path, line))
+    return references
 
+
+def _named_outside(references, name: str, path: Path, node: ast.AST) -> bool:
+    return any(
+        where != path or not node.lineno <= line <= node.end_lineno
+        for where, line in references.get(name, [])
+    )
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_package_helper_is_used():
+    references = _reference_index(SEARCHED)
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for name, node in _definitions(tree):
-            if name == "main" or (name.startswith("__") and name.endswith("__")):
+            if name == "main" or _is_dunder(name):
                 continue
-            outside = [
-                (where, line)
-                for where, line in references.get(name, [])
-                if where != path or not node.lineno <= line <= node.end_lineno
-            ]
-            if not outside:
+            if not _named_outside(references, name, path, node):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "unused helpers: " + ", ".join(unused)
+
+
+def _methods(tree: ast.Module):
+    """(Class.method, method name, node) for each non-dunder method."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not _is_dunder(node.name):
+                        yield f"{cls.name}.{node.name}", node.name, node
+
+
+def test_every_package_method_is_used():
+    references = _reference_index(PRODUCTION)
+    unused = []
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualified, name, node in _methods(tree):
+            defined.add(qualified)
+            if qualified in TEST_REFERENCES:
+                continue
+            if not _named_outside(references, name, path, node):
+                unused.append(f"{path.name}:{node.lineno} {qualified}")
+    assert not unused, "methods only tests call: " + ", ".join(unused)
+    assert set(TEST_REFERENCES) <= defined, "stale exemptions"
+    assert all(TEST_REFERENCES.values()), "every exemption gives a reason"
 
 
 def _imported_names(tree: ast.Module):

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from ipd.connection import dualize
 from ipd.corpus import random_lattice_section
-from ipd.cycles import build_cycle, candidate_basis
+from ipd.cycles import build_circle, candidate_basis
 from ipd.derham import h1_basis, nabla_applied
 from ipd.exact import GaussianRational, Rational, RationalFunction, as_scalar
 from ipd.families import bessel_connection, gamma_connection, gaussian_connection
@@ -31,6 +32,14 @@ def test_flat_section_values():
     assert flat_section_eval(g, complex(2, 0)) == pytest.approx(math.exp(-4), rel=1e-12)
 
 
+def test_dual_connection_gives_the_inverse_section():
+    # dualize(c) is the one route to the connection's own flat section
+    for c in (gaussian_connection(), gamma_connection(Fraction(1, 2)), bessel_connection(Fraction(1))):
+        for z in (complex(0.7, 0.3), complex(-1.5, 0.8), complex(2.0, -1.0)):
+            product = flat_section_eval(c, z) * flat_section_eval(dualize(c), z)
+            assert abs(product - 1.0) < 1e-12
+
+
 def test_flat_section_branch_argument():
     c = gamma_connection(Fraction(1, 2))
     # with arg(t) tracked at 2 pi rather than 0 the half power flips sign
@@ -42,7 +51,7 @@ def test_flat_section_branch_argument():
 def test_circle_period_of_dz_over_z():
     # pure residue integral, no exponential factor
     c = bessel_connection(Fraction(1))
-    cy = build_cycle(c, "circle", point=as_scalar(0), radius=1.0)
+    cy = build_circle(c, as_scalar(0), radius=1.0)
     pv = integrate_cycle(c, cy, rf([1], [0, 1]))
     assert pv.converged
     assert pv.value.imag > 0  # counterclockwise
@@ -93,9 +102,8 @@ def test_period_matrix_pairing():
     assert mat.rank == 2
     assert abs(mat.determinant) > 1e-6 * mat.scale**2
     # the circle row pairs to 2 pi i J_n(1), purely imaginary entries
-    values = mat.values()
-    circle_row = values[[cy.label.startswith("circle") for cy in cycles].index(True)]
-    assert abs(circle_row[0].real) < 1e-12
+    circle_row = mat.entries[[cy.label.startswith("circle") for cy in cycles].index(True)]
+    assert abs(circle_row[0].value.real) < 1e-12
 
 
 def test_bessel_cross_pair_is_hankel_value():
@@ -114,7 +122,7 @@ def test_bessel_cross_pair_is_hankel_value():
 
 def test_parametric_derivative_against_difference_quotient():
     c = bessel_connection(Fraction(1))
-    cy = build_cycle(c, "circle", point=as_scalar(0), radius=1.0)
+    cy = build_circle(c, as_scalar(0), radius=1.0)
     form = rf([1], [0, 1])
     d1 = parametric_derivative_period(c, cy, form, order=1).value
     h = Fraction(1, 64)
