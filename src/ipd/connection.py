@@ -66,7 +66,7 @@ def point_str(p: Point) -> str:
 
 
 def parse_point(text: str) -> Point:
-    return INFINITY if text.strip() == "inf" else parse_scalar(text)
+    return INFINITY if isinstance(text, str) and text.strip() == "inf" else parse_scalar(text)
 
 
 @dataclass(frozen=True)
@@ -224,14 +224,16 @@ def connection_from_json(doc: dict) -> Connection:
         raise InputError("connection document must be a JSON object")
     try:
         label = doc.get("label", "connection")
-        alpha = doc["alpha"]
-        num = [parse_scalar(t) for t in alpha["num"]]
-        den = [parse_scalar(t) for t in alpha["den"]]
+        num, den = doc["alpha"]["num"], doc["alpha"]["den"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed connection document: {exc}") from exc
     if not isinstance(label, str):
         raise InputError("connection label must be a string")
-    rf = RationalFunction.from_coeffs(num, den)
+    if not (isinstance(num, list) and isinstance(den, list)):
+        raise InputError("alpha num and den must be JSON lists of scalar text")
+    rf = RationalFunction.from_coeffs(
+        [parse_scalar(t) for t in num], [parse_scalar(t) for t in den]
+    )
     return canonicalize(rf, label=label)
 
 

@@ -700,10 +700,18 @@ def _c2j(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _real(v) -> float:
+    """A finite JSON number.  Text, booleans, NaN and infinities are refused:
+    a NaN radius would keep the walker cutting an arc forever."""
+    if type(v) not in (int, float) or not math.isfinite(v):
+        raise InputError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
 def _j2c(v) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise InputError(f"expected [re, im], got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_real(v[0]), _real(v[1]))
 
 
 def piece_to_json(p: Piece) -> dict:
@@ -734,18 +742,18 @@ def piece_from_json(d: dict) -> Piece:
         if kind == "arc":
             return Arc(
                 _j2c(d["center"]),
-                float(d["radius"]),
-                float(d["theta0"]),
-                float(d["theta1"]),
+                _real(d["radius"]),
+                _real(d["theta0"]),
+                _real(d["theta1"]),
             )
         if kind == "decay_ray":
             return DecayRay(
                 parse_point(d["point"]),
-                float(d["direction"]),
-                float(d["anchor_radius"]),
+                _real(d["direction"]),
+                _real(d["anchor_radius"]),
                 d["sense"],
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad piece record: {exc}") from exc
     raise InputError(f"unknown piece type {d.get('type')!r}")
 
@@ -760,19 +768,24 @@ def cycle_to_json(cy: Cycle) -> dict:
 
 
 def cycle_from_json(d: dict) -> Cycle:
+    if not isinstance(d, dict):
+        raise InputError("cycle record must be a JSON object")
+    orientation = d.get("orientation", 1)
+    if type(orientation) is not int or orientation not in (1, -1):
+        raise InputError(f"cycle orientation must be 1 or -1, got {orientation!r}")
+    pieces, args = d.get("pieces"), d.get("base_args", {})
+    if not isinstance(pieces, list):
+        raise InputError("cycle pieces must be a JSON list")
+    if not isinstance(args, dict):
+        raise InputError("cycle base_args must be a JSON object")
     try:
-        pieces = tuple(piece_from_json(p) for p in d["pieces"])
-        args = d.get("base_args", {})
-        if not isinstance(args, dict):
-            raise InputError("cycle base_args must be a JSON object")
-        base_args = tuple((parse_point(k), float(v)) for k, v in args.items())
         return Cycle(
             label=str(d.get("label", "cycle")),
-            pieces=pieces,
-            base_args=base_args,
-            orientation=int(d.get("orientation", 1)),
+            pieces=tuple(piece_from_json(p) for p in pieces),
+            base_args=tuple((parse_point(k), _real(v)) for k, v in args.items()),
+            orientation=orientation,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad cycle record: {exc}") from exc
 
 

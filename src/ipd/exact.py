@@ -110,12 +110,18 @@ _TOKEN_RE = _re.compile(r"[+-]?[^+-]+")
 
 
 def parse_scalar(text: str) -> GaussianRational:
-    """Parse scalar text like "1/2", "-3+1/4i", "i", "2-i", "-7/3i"."""
+    """Parse scalar text like "1/2", "-3+1/4i", "i", "2-i", "-7/3i".
+
+    Exponent notation is refused: "1e9999999" would build a ten-million-digit
+    integer before any check could see it.
+    """
     if not isinstance(text, str):
         raise InputError(f"scalar {text!r} must be given as text")
     s = text.strip().replace(" ", "")
     if not s:
         raise InputError("empty scalar text")
+    if "e" in s.lower():
+        raise InputError(f"bad scalar text {text!r}: exponent notation is not accepted")
     tokens = _TOKEN_RE.findall(s)
     if not tokens or "".join(tokens) != s:
         raise InputError(f"bad scalar text {text!r}")

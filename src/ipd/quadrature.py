@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .connection import (
     Connection,
@@ -354,8 +353,8 @@ def period_matrix(
 ) -> PeriodMatrix:
     """All pairings cycle x basis form, with numerical rank and determinant.
 
-    Rank is counted from the column-pivoted QR factorization of the value
-    matrix at threshold rank_tol * (largest entry magnitude).
+    The rank counts the singular values of the value matrix above
+    rank_tol * (largest entry magnitude).
     """
     entries = tuple(
         tuple(integrate_cycle(c, cy, form, rel_tol) for form in basis.basis)
@@ -364,14 +363,8 @@ def period_matrix(
     if not entries or not basis.basis:
         return PeriodMatrix(entries, 0, None, 0.0)
     m = np.array([[e.value for e in row] for row in entries], dtype=complex)
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    threshold = rank_tol * scale
-    if scale == 0.0:
-        rank = 0
-    else:
-        r = scipy.linalg.qr(m, mode="r", pivoting=True)[0]
-        diag = np.abs(np.diag(r))
-        rank = int(np.sum(diag > threshold))
+    scale = float(np.max(np.abs(m)))
+    rank = int(np.linalg.matrix_rank(m, tol=rank_tol * scale))
     det = complex(np.linalg.det(m)) if m.shape[0] == m.shape[1] else None
     return PeriodMatrix(entries, rank, det, scale)
 

@@ -7,7 +7,8 @@ import pytest
 
 from ipd.cli import main
 from ipd.connection import canonicalize, connection_to_json
-from ipd.exact import RationalFunction
+from ipd.cycles import build_circle, cycle_to_json
+from ipd.exact import RationalFunction, as_scalar
 from ipd.families import bessel_connection, gamma_connection, gaussian_connection
 
 
@@ -130,11 +131,26 @@ def test_input_errors_exit_two(conn_file, capsys, tmp_path):
     listed.write_text(json.dumps([connection_to_json(gaussian_connection())]))
     code, _, err = run_cli(capsys, "dims", str(listed))
     assert code == 2 and err.startswith("error: ")
+    # a string is not a coefficient list, even one that iterates to scalars
+    for alpha in ({"num": "12", "den": ["1"]}, {"num": ["1"], "den": "1"}):
+        text = tmp_path / "text.json"
+        text.write_text(json.dumps({"label": "x", "alpha": alpha}))
+        code, _, err = run_cli(capsys, "dims", str(text))
+        assert code == 2 and err.startswith("error: ")
     cycles = tmp_path / "cycles.json"
     cycles.write_text(json.dumps([{"pieces": [], "base_args": []}]))
     path = conn_file("gaussian", gaussian_connection())
     code, _, err = run_cli(capsys, "periods", path, "--cycles", str(cycles))
     assert code == 2 and err.startswith("error: ")
+    # orientation is the integer 1 or -1; anything else would scale the period
+    bessel = bessel_connection(Fraction(1))
+    path = conn_file("bessel", bessel)
+    circle = cycle_to_json(build_circle(bessel, as_scalar(0), radius=1.0))
+    for orientation, expected in ((-1, 0), (True, 2), ("1", 2), (1.0, 2), (5, 2)):
+        cycles.write_text(json.dumps([dict(circle, orientation=orientation)]))
+        code, _, err = run_cli(capsys, "periods", path, "--cycles", str(cycles))
+        assert code == expected, orientation
+        assert err.startswith("error: ") == (expected == 2)
 
 
 def test_analyze_deterministic(conn_file, capsys):

@@ -124,6 +124,16 @@ def test_load_cycles_rejects_bad_files(tmp_path):
     path.write_text("[{\"label\": \"x\"}]")
     with pytest.raises(InputError):
         load_cycles(str(path))
+    # numbers must be finite JSON numbers; a NaN radius made `periods` hang
+    circle = cycle_to_json(build_circle(bessel_connection(Fraction(1)), as_scalar(0), 1.0))
+    arc = circle["pieces"][0]
+    assert cycle_from_json(circle).pieces[0].radius == 1.0
+    for bad in ({"radius": float("nan")}, {"radius": "1.0"}, {"center": [math.inf, 0]},
+                {"theta1": True}, {"radius": 10**400}):
+        with pytest.raises(InputError):
+            cycle_from_json(dict(circle, pieces=[dict(arc, **bad)]))
+    with pytest.raises(InputError):
+        cycle_from_json(dict(circle, base_args={"0": "0.5"}))
 
 
 def test_jitter_keeps_validity():

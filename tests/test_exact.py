@@ -56,7 +56,7 @@ def test_scalar_text_roundtrip(a):
     assert parse_scalar(format_scalar(a)) == a
 
 
-@pytest.mark.parametrize("text", ["", "i+i+i", "1/0", "2x", "++1"])
+@pytest.mark.parametrize("text", ["", "i+i+i", "1/0", "2x", "++1", "1e5", "2E3i"])
 def test_parse_scalar_rejects_garbage(text):
     with pytest.raises(InputError):
         parse_scalar(text)

@@ -106,6 +106,16 @@ def test_period_matrix_pairing():
     assert abs(circle_row[0].value.real) < 1e-12
 
 
+def test_period_matrix_rank_of_a_repeated_cycle():
+    # the same circle twice gives two equal rows, so rank 1 although h1 = 2
+    c = bessel_connection(Fraction(1))
+    b = h1_basis(c)
+    cy = build_circle(c, as_scalar(0), radius=1.0)
+    mat = period_matrix(c, [cy, cy], b)
+    assert len(b.basis) == 2
+    assert mat.rank == 1
+
+
 def test_bessel_cross_pair_is_hankel_value():
     from scipy.special import k0
 
