@@ -6,15 +6,17 @@ log branches threaded along the path by the walker `cycles.walk`, the same
 one that validation uses: every piece is cut into chunks short enough that
 no arg(z - a_j) moves by pi/2 within a chunk, so principal-value
 continuation from the chunk base is unambiguous.  Bounded chunks use
-adaptive Gauss-Kronrod 7-15 with a tanh-sinh fallback near singular
-endpoints; decay rays use dyadic chunks with an explicit exponential tail
-bound once the integrand falls below the truncation threshold.
+adaptive Gauss-Kronrod 7-15, which stops unconverged once its error estimate
+is at the rounding level; decay rays use dyadic chunks with an explicit
+exponential tail bound once the integrand falls below the truncation
+threshold.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +29,7 @@ from .connection import (
     global_antiderivative,
     profile_at,
 )
-from .cycles import Cycle, DecayRay, Line, Piece, clearances, piece_param, walk
+from .cycles import DELTA, Cycle, DecayRay, Line, Piece, clearances, piece_param, walk
 from .derham import CohomologyBasis
 from .errors import InputError, SingularApproach
 from .exact import RationalFunction
@@ -36,6 +38,8 @@ from .families import bessel_parameter
 EXP_CAP = 700.0
 TRUNCATE_REL = 1e-16
 MAX_RAY_CHUNKS = 64
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
+RANK_TOL = 1e-6   # period_matrix rank: singular values above RANK_TOL x largest entry
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK QK15 constants)
 _XGK = (
@@ -71,7 +75,7 @@ class _SectionContext:
         w = complex(self.f.eval_complex(z))
         for p, a, s in self.log_terms:
             w += s * complex(math.log(abs(z - a)), args[p])
-        if w.real > EXP_CAP:
+        if not w.real <= EXP_CAP:  # NaN too: inf - inf far out on a path
             raise SingularApproach(
                 "flat section overflow: the path crosses a growth region"
             )
@@ -92,82 +96,47 @@ def flat_section_eval(c: Connection, z: complex, args: Optional[dict] = None) ->
 
 
 def _gk15(f, a: float, b: float):
-    """(kronrod, |kronrod - gauss|) of f over [a, b]."""
+    """(kronrod, |kronrod - gauss|, L1 mass) of f over [a, b]; the mass is
+    the Kronrod rule applied to |f|."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fk = 0j
     fg = 0j
+    fa = 0.0
     for i, x in enumerate(_XGK):
         w = _WGK[i]
         if x == 0.0:
             v = f(mid)
             fk += w * v
             fg += _WG[3] * v
+            fa += w * abs(v)
         else:
             v1 = f(mid - half * x)
             v2 = f(mid + half * x)
             fk += w * (v1 + v2)
+            fa += w * (abs(v1) + abs(v2))
             if i % 2 == 1:
                 fg += _WG[i // 2] * (v1 + v2)
-    return fk * half, abs(fk - fg) * abs(half)
+    return fk * half, abs(fk - fg) * abs(half), fa * abs(half)
 
 
-def _adaptive_gk(f, a: float, b: float, abs_tol: float, max_depth: int = 13):
-    """Recursive bisection Gauss-Kronrod; returns (value, err, converged)."""
-    val, err = _gk15(f, a, b)
+def _adaptive_gk(f, a: float, b: float, abs_tol: float, est, max_depth: int = 13):
+    """Recursive bisection Gauss-Kronrod from est = _gk15(f, a, b); returns
+    (value, err, converged).
+
+    Bisection stops unconverged once err <= 50 eps * (L1 mass), QUADPACK's
+    rounding level (Piessens et al. 1983), below which halving cannot lower
+    the estimate.
+    """
+    val, err, mass = est
     if err <= abs_tol or b - a <= 1e-15 * max(abs(a), abs(b), 1.0):
         return val, err, True
-    if max_depth == 0:
+    if max_depth == 0 or err <= _ROUNDOFF * mass:
         return val, err, False
     mid = 0.5 * (a + b)
-    v1, e1, c1 = _adaptive_gk(f, a, mid, 0.5 * abs_tol, max_depth - 1)
-    v2, e2, c2 = _adaptive_gk(f, mid, b, 0.5 * abs_tol, max_depth - 1)
+    v1, e1, c1 = _adaptive_gk(f, a, mid, 0.5 * abs_tol, _gk15(f, a, mid), max_depth - 1)
+    v2, e2, c2 = _adaptive_gk(f, mid, b, 0.5 * abs_tol, _gk15(f, mid, b), max_depth - 1)
     return v1 + v2, e1 + e2, c1 and c2
-
-
-def _tanh_sinh(f, a: float, b: float, levels: int = 9):
-    """Tanh-sinh quadrature of f over (a, b); handles endpoint singularities."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    t_max = 5.0
-
-    def term(t: float):
-        s = 0.5 * math.pi * math.sinh(t)
-        if abs(s) > 300.0:
-            return None
-        x = mid + half * math.tanh(s)
-        if not (a < x < b):
-            return None
-        ch = math.cosh(s)
-        w = half * 0.5 * math.pi * math.cosh(t) / (ch * ch)
-        return w * f(x)
-
-    h = 1.0
-    total = 0j
-    k = 0
-    while k * h <= t_max:
-        for t in ((k * h,) if k == 0 else (k * h, -k * h)):
-            v = term(t)
-            if v is not None:
-                total += v
-        k += 1
-    value = total * h
-    prev = value
-    for _ in range(1, levels):
-        h *= 0.5
-        extra = 0j
-        k = 1
-        while k * h <= t_max:
-            for t in (k * h, -k * h):
-                v = term(t)
-                if v is not None:
-                    extra += v
-            k += 2
-        value = 0.5 * value + extra * h
-        if abs(value - prev) <= 1e-14 * max(1.0, abs(value)):
-            return value, abs(value - prev), True
-        prev = value
-    return value, abs(value - prev), False
 
 
 @dataclass
@@ -196,12 +165,9 @@ def _integrate_piece(
             z = param(t)
             return ctx.section(z, args_at(z, t)) * complex(form.eval_complex(z)) * dparam(t)
 
-        tol = rel_tol * max(acc.l1, abs(acc.value), 1.0)
-        val, err, ok = _adaptive_gk(integrand, u0, u1, tol)
-        if not ok:
-            val2, err2, ok2 = _tanh_sinh(integrand, u0, u1)
-            if err2 < err:
-                val, err, ok = val2, err2, ok2
+        est = _gk15(integrand, u0, u1)
+        tol = rel_tol * max(acc.l1, abs(acc.value), 1.0, est[2])
+        val, err, ok = _adaptive_gk(integrand, u0, u1, tol, est)
         acc.value += val
         acc.abs_error += err
         acc.l1 += abs(val)
@@ -244,7 +210,6 @@ def _integrate_ray(ctx, form, ray: DecayRay, args: dict, acc, rel_tol):
     sub = _Accum()
     sub.l1 = acc.l1
     r_hi = r0
-    stop = False
     for _ in range(MAX_RAY_CHUNKS):
         r_next = r_hi * 2.0 if at_inf else r_hi * 0.5
         seg = Line(z_of(r_hi), z_of(r_next))
@@ -256,19 +221,13 @@ def _integrate_ray(ctx, form, ray: DecayRay, args: dict, acc, rel_tol):
         )
         scale = max(sub.l1, abs(acc.value), 1.0)
         if f_edge * r_hi * 4.0 < TRUNCATE_REL * scale:
-            stop = True
             break
-    if not stop:
-        sub.converged = False
-    r_star = r_hi
-    f_star = abs(
-        ctx.section(z_of(r_star), args)
-        * complex(form.eval_complex(z_of(r_star)))
-    )
-    if at_inf:
-        tail = 2.0 * f_star / (gamma * k * r_star ** (k - 1))
     else:
-        tail = 2.0 * f_star * r_star ** (k + 1) / (gamma * k)
+        sub.converged = False
+    if at_inf:
+        tail = 2.0 * f_edge / (gamma * k * r_hi ** (k - 1))
+    else:
+        tail = 2.0 * f_edge * r_hi ** (k + 1) / (gamma * k)
 
     # traversal sign: sub.value is anchor -> decaying end
     sign = 1.0 if ray.sense == "inward" else -1.0
@@ -299,18 +258,17 @@ def integrate_cycle(
     cy: Cycle,
     form: RationalFunction,
     rel_tol: float = 1e-12,
-    delta: float = 1e-4,
 ) -> PeriodValue:
     """Period of (dual section) * form over the cycle.
 
     The branch args start from the cycle's declared base args; pieces are
-    integrated in traversal order.  A piece passing within delta of a
+    integrated in traversal order.  A piece passing within DELTA of a
     singular point raises SingularApproach.  Failure to meet the tolerance
     is reported through converged=False, not an exception.
     """
     ctx = _SectionContext(c)
     for i, _, d in clearances(c, cy):
-        if d < delta:
+        if d < DELTA:
             raise SingularApproach(
                 f"piece {i} passes within {d:.2e} of a singular point"
             )
@@ -348,30 +306,27 @@ def period_matrix(
     c: Connection,
     cycles: list[Cycle],
     basis: CohomologyBasis,
-    rel_tol: float = 1e-12,
-    rank_tol: float = 1e-6,
 ) -> PeriodMatrix:
     """All pairings cycle x basis form, with numerical rank and determinant.
 
     The rank counts the singular values of the value matrix above
-    rank_tol * (largest entry magnitude).
+    RANK_TOL * (largest entry magnitude).
     """
     entries = tuple(
-        tuple(integrate_cycle(c, cy, form, rel_tol) for form in basis.basis)
+        tuple(integrate_cycle(c, cy, form) for form in basis.basis)
         for cy in cycles
     )
     if not entries or not basis.basis:
         return PeriodMatrix(entries, 0, None, 0.0)
     m = np.array([[e.value for e in row] for row in entries], dtype=complex)
     scale = float(np.max(np.abs(m)))
-    rank = int(np.linalg.matrix_rank(m, tol=rank_tol * scale))
+    rank = int(np.linalg.matrix_rank(m, tol=RANK_TOL * scale))
     det = complex(np.linalg.det(m)) if m.shape[0] == m.shape[1] else None
     return PeriodMatrix(entries, rank, det, scale)
 
 
 def parametric_derivative_period(
-    c: Connection, cy: Cycle, form: RationalFunction, order: int = 1,
-    rel_tol: float = 1e-12,
+    c: Connection, cy: Cycle, form: RationalFunction, order: int = 1
 ) -> PeriodValue:
     """d^k/dz^k of the period, for the Bessel family with parameter z.
 
@@ -382,9 +337,9 @@ def parametric_derivative_period(
         raise InputError("parameter derivatives are supported for order <= 2")
     bessel_parameter(c)  # InputError when not in the family
     if order == 0:
-        return integrate_cycle(c, cy, form, rel_tol)
+        return integrate_cycle(c, cy, form)
     factor = RationalFunction.from_coeffs([-1, 0, 1], [0, 2])
     g = form
     for _ in range(order):
         g = g * factor
-    return integrate_cycle(c, cy, g, rel_tol)
+    return integrate_cycle(c, cy, g)

@@ -62,7 +62,7 @@ def periods_json(mat) -> dict:
     }
 
 
-def generate_report(c: Connection, rel_tol: float = 1e-12, cycles=None) -> dict:
+def generate_report(c: Connection) -> dict:
     """Assemble the complete analysis document for one connection.
 
     Component failures (no valid cycle basis, lattice trouble) become failing
@@ -90,19 +90,18 @@ def generate_report(c: Connection, rel_tol: float = 1e-12, cycles=None) -> dict:
     )
     checks.append(_exact_check("homology.five_term_sum", 0, five))
 
-    if cycles is None:
-        try:
-            cycles = candidate_basis(c)
-        except IpdError as exc:
-            cycles = []
-            checks.append(
-                CheckResult("cycles.basis", basis.h1_dim, f"error: {exc}", 0.0, 0.0, False)
-            )
+    try:
+        cycles = candidate_basis(c)
+    except IpdError as exc:
+        cycles = []
+        checks.append(
+            CheckResult("cycles.basis", basis.h1_dim, f"error: {exc}", 0.0, 0.0, False)
+        )
     doc["cycles"] = [cycle_to_json(cy) for cy in cycles]
 
     if cycles and basis.basis:
         try:
-            mat = period_matrix(c, cycles, basis, rel_tol)
+            mat = period_matrix(c, cycles, basis)
             doc["periods"] = periods_json(mat)
             converged = all(pv.converged for row in mat.entries for pv in row)
             checks.append(_exact_check("quadrature.converged", 1, int(converged)))

@@ -1,14 +1,16 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from ipd.connection import dualize
-from ipd.corpus import random_lattice_section
+from ipd.corpus import connection_corpus, random_lattice_section
 from ipd.cycles import build_circle, candidate_basis
 from ipd.derham import h1_basis, nabla_applied
+from ipd.errors import SingularApproach
 from ipd.exact import GaussianRational, Rational, RationalFunction, as_scalar
 from ipd.families import bessel_connection, gamma_connection, gaussian_connection
 from ipd.quadrature import (
@@ -143,9 +145,34 @@ def test_parametric_derivative_against_difference_quotient():
 
 
 def test_tolerance_not_met_is_flagged_not_raised():
+    # 1e-30 is below the rounding level, so bisection stops there at once
     c = gaussian_connection()
     b = h1_basis(c)
     (cy,) = candidate_basis(c)
+    t0 = time.perf_counter()
     pv = integrate_cycle(c, cy, b.basis[0], rel_tol=1e-30)
-    assert isinstance(pv.converged, bool)
+    assert time.perf_counter() - t0 < 2.0
+    assert pv.converged is False
     assert pv.value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
+
+
+def test_large_chunks_are_held_to_their_own_mass():
+    # chunks with |value| of 300-570 open some cycles of corpus[35]; an
+    # absolute 1e-12 on them lies below the rounding level
+    c = connection_corpus(40, 0)[35]
+    b = h1_basis(c)
+    cycles = candidate_basis(c)
+    t0 = time.perf_counter()
+    mat = period_matrix(c, cycles, b)
+    assert time.perf_counter() - t0 < 5.0
+    assert all(pv.converged for row in mat.entries for pv in row)
+    # the basis is rank-deficient (h1 = 4): a cycle-search defect, not quadrature
+    assert (b.h1_dim, mat.rank) == (4, 2)
+
+
+def test_nan_exponent_raises():
+    # at |z| = 1e300 the section exponent of bessel(z=1) evaluates to inf - inf
+    c = bessel_connection(Fraction(1))
+    cy = build_circle(c, as_scalar(0), radius=1e300)
+    with pytest.raises(SingularApproach):
+        integrate_cycle(c, cy, rf([1], [0, 1]))
